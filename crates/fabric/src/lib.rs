@@ -50,6 +50,8 @@
 //! ```
 
 pub mod addressmap;
+pub mod arbiter;
+pub mod difftest;
 pub mod direct;
 pub mod fullxbar;
 mod idtrack;
@@ -59,6 +61,7 @@ pub mod stats;
 pub mod xilinx;
 
 pub use addressmap::{AddressMap, ContiguousMap};
+pub use arbiter::RequestMasks;
 pub use direct::DirectFabric;
 pub use fullxbar::FullCrossbarFabric;
 pub use link::{horizon, Flit, SerialLink};

@@ -104,13 +104,6 @@ impl<T> SerialLink<T> {
         self.q.pop(now)
     }
 
-    /// Number of leading downstream items ready at `now`, capped at
-    /// `max` — the scan window for out-of-order (VOQ) consumers.
-    #[inline]
-    pub fn window(&self, now: Cycle, max: usize) -> usize {
-        self.q.ready_len(now).min(max)
-    }
-
     /// A reference to the `idx`-th downstream item if ready.
     #[inline]
     pub fn peek_at(&self, now: Cycle, idx: usize) -> Option<&T> {

@@ -12,9 +12,17 @@
 //! hierarchical stage, 25 with two (Table III). The paper's Table II
 //! shows exactly this trade: slightly higher MAO latency under light
 //! traffic, drastically lower and far more uniform latency under load.
+//!
+//! Both arbiters are round-robin and run in two passes each cycle
+//! (DESIGN.md §3.11). Every ready ingress head is routed once into its
+//! port's candidate bitmask, and each port grants the first candidate at
+//! or after its pointer. On the return path each master keeps a bitmask
+//! of the ports whose VOQ window — the first `VOQ_WINDOW` queued
+//! completions — holds one for it; a port's bits are recomputed after
+//! every pull from it, because the pull shifts its window.
 
 use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
-use hbm_fabric::{horizon, AddressMap, FabricStats, Flit, Interconnect, SerialLink};
+use hbm_fabric::{horizon, AddressMap, FabricStats, Flit, Interconnect, RequestMasks, SerialLink};
 
 use crate::config::MaoConfig;
 use crate::interleave::InterleavedMap;
@@ -40,8 +48,12 @@ pub struct MaoFabric {
     rob: Vec<ReorderBuffer>,
     rr_port: Vec<usize>,
     rr_master: Vec<usize>,
-    /// Cycle each ingress last had its head popped (one grant per cycle).
-    ingress_popped: Vec<Cycle>,
+    /// `log2(port_capacity)`: a physical address's port is a shift away.
+    port_shift: u32,
+    /// Per port: the masters whose ready ingress head routes to it.
+    fwd_cand: RequestMasks,
+    /// Per master: the ports whose VOQ window holds a completion for it.
+    ret_cand: RequestMasks,
     rob_stall_cycles: u64,
     tracer: Option<SharedTracer>,
 }
@@ -63,7 +75,9 @@ impl MaoFabric {
             rob: (0..m).map(|_| ReorderBuffer::new(cfg.reorder_depth)).collect(),
             rr_port: vec![0; p],
             rr_master: vec![0; m],
-            ingress_popped: vec![Cycle::MAX; m],
+            port_shift: cfg.port_capacity.trailing_zeros(),
+            fwd_cand: RequestMasks::new(p, m),
+            ret_cand: RequestMasks::new(m, p),
             rob_stall_cycles: 0,
             tracer: None,
             cfg,
@@ -83,6 +97,23 @@ impl MaoFabric {
 
     fn phys_port(addr: Addr, cap: u64) -> usize {
         (addr / cap) as usize
+    }
+
+    /// Sets (or clears) bit `p` in the return mask of every master with a
+    /// completion in port `p`'s VOQ window.
+    fn mark_window(&mut self, now: Cycle, p: usize, on: bool) {
+        for idx in 0..VOQ_WINDOW {
+            let Some(Flit::Resp(c)) = self.ret_in[p].peek_at(now, idx) else {
+                // Ready entries form a prefix: the first miss ends it.
+                break;
+            };
+            let m = c.txn.master.idx();
+            if on {
+                self.ret_cand.set(m, p);
+            } else {
+                self.ret_cand.clear(m, p);
+            }
+        }
     }
 }
 
@@ -170,65 +201,62 @@ impl Interconnect for MaoFabric {
     }
 
     fn tick(&mut self, now: Cycle) {
-        let cap = self.cfg.port_capacity;
         let m_count = self.cfg.num_masters;
-        let p_count = self.cfg.num_ports;
-        // Forward: each port grants one ingress head per cycle.
-        for p in 0..p_count {
-            if !self.port_out[p].can_send(now) {
+        // Forward: each port grants one ingress head per cycle. Pass 1
+        // routes every ready head once; pass 2 grants round-robin from
+        // each port's pointer. A head routes to exactly one port, so no
+        // ingress can win twice in a cycle.
+        self.fwd_cand.clear_all();
+        for (m, link) in self.ingress.iter().enumerate() {
+            if let Some(Flit::Req(t)) = link.peek(now) {
+                self.fwd_cand.set((t.addr >> self.port_shift) as usize, m);
+            }
+        }
+        for p in 0..self.cfg.num_ports {
+            if self.fwd_cand.row_is_empty(p) || !self.port_out[p].can_send(now) {
                 continue;
             }
-            let start = self.rr_port[p];
-            for j in 0..m_count {
-                let m = (start + j) % m_count;
-                if self.ingress_popped[m] == now {
-                    continue;
-                }
-                let Some(Flit::Req(t)) = self.ingress[m].peek(now) else {
-                    continue;
-                };
-                if Self::phys_port(t.addr, cap) != p {
-                    continue;
-                }
-                let flit = self.ingress[m].pop(now).expect("peeked head vanished");
-                self.ingress_popped[m] = now;
-                let cost = flit.cost_beats();
-                self.port_out[p].send(now, m as u16, cost, flit);
-                self.rr_port[p] = (m + 1) % m_count;
-                break;
-            }
+            let m = self.fwd_cand.pick(p, self.rr_port[p]).expect("non-empty row");
+            let flit = self.ingress[m].pop(now).expect("routed head vanished");
+            let cost = flit.cost_beats();
+            self.port_out[p].send(now, m as u16, cost, flit);
+            self.rr_port[p] = (m + 1) % m_count;
         }
         // Return: each master grants one completion per cycle. Unlike a
         // plain FIFO fabric, the MAO's buffered output stage lets a
-        // master pull *any* queued completion addressed to it, not just
-        // queue heads — this virtual-output-queue behaviour is exactly
-        // what the reorder buffers buy ("accepting and storing
-        // out-of-order transactions early frees the bus fabric", §IV-B).
-        // Physical link serialization was already charged when the
-        // completion entered `ret_in`.
+        // master pull *any* queued completion addressed to it within the
+        // first `VOQ_WINDOW` entries, not just queue heads — this
+        // virtual-output-queue behaviour is exactly what the reorder
+        // buffers buy ("accepting and storing out-of-order transactions
+        // early frees the bus fabric", §IV-B). Physical link
+        // serialization was already charged when the completion entered
+        // `ret_in`.
+        //
+        // Several masters may pull from one port in the same cycle, and
+        // each pull shifts that port's window. Masters are served in
+        // index order, so after a pull the port's bits are recomputed
+        // from the shifted window before the next master looks: every
+        // master sees exactly the window a sequential scan would.
+        self.ret_cand.clear_all();
+        for p in 0..self.cfg.num_ports {
+            self.mark_window(now, p, true);
+        }
         for m in 0..m_count {
-            if !self.master_ret[m].can_send(now) {
+            if self.ret_cand.row_is_empty(m) || !self.master_ret[m].can_send(now) {
                 continue;
             }
-            let start = self.rr_master[m];
-            'ports: for j in 0..p_count {
-                let p = (start + j) % p_count;
-                let window = self.ret_in[p].window(now, VOQ_WINDOW);
-                for idx in 0..window {
-                    let found = matches!(
-                        self.ret_in[p].peek_at(now, idx),
-                        Some(Flit::Resp(c)) if c.txn.master.idx() == m
-                    );
-                    if !found {
-                        continue;
-                    }
-                    let flit = self.ret_in[p].pop_at(now, idx).expect("peeked entry vanished");
-                    let cost = flit.cost_beats();
-                    self.master_ret[m].send(now, p as u16, cost, flit);
-                    self.rr_master[m] = (p + 1) % p_count;
-                    break 'ports;
-                }
-            }
+            let p = self.ret_cand.pick(m, self.rr_master[m]).expect("non-empty row");
+            let idx = (0..VOQ_WINDOW)
+                .position(|i| {
+                    matches!(self.ret_in[p].peek_at(now, i), Some(Flit::Resp(c)) if c.txn.master.idx() == m)
+                })
+                .expect("marked port holds a completion for this master");
+            self.mark_window(now, p, false);
+            let flit = self.ret_in[p].pop_at(now, idx).expect("peeked entry vanished");
+            self.mark_window(now, p, true);
+            let cost = flit.cost_beats();
+            self.master_ret[m].send(now, p as u16, cost, flit);
+            self.rr_master[m] = (p + 1) % self.cfg.num_ports;
         }
     }
 
@@ -302,11 +330,71 @@ impl Interconnect for MaoFabric {
     }
 }
 
+impl MaoFabric {
+    /// The linear round-robin scans the bitmask tick replaced, kept as
+    /// the oracle for `tick_matches_reference_scan`.
+    #[cfg(test)]
+    fn tick_reference(&mut self, now: Cycle) {
+        let cap = self.cfg.port_capacity;
+        let m_count = self.cfg.num_masters;
+        let p_count = self.cfg.num_ports;
+        let mut ingress_won = vec![false; m_count];
+        for p in 0..p_count {
+            if !self.port_out[p].can_send(now) {
+                continue;
+            }
+            let start = self.rr_port[p];
+            for j in 0..m_count {
+                let m = (start + j) % m_count;
+                if ingress_won[m] {
+                    continue;
+                }
+                let Some(Flit::Req(t)) = self.ingress[m].peek(now) else {
+                    continue;
+                };
+                if Self::phys_port(t.addr, cap) != p {
+                    continue;
+                }
+                let flit = self.ingress[m].pop(now).expect("peeked head vanished");
+                ingress_won[m] = true;
+                let cost = flit.cost_beats();
+                self.port_out[p].send(now, m as u16, cost, flit);
+                self.rr_port[p] = (m + 1) % m_count;
+                break;
+            }
+        }
+        for m in 0..m_count {
+            if !self.master_ret[m].can_send(now) {
+                continue;
+            }
+            let start = self.rr_master[m];
+            'ports: for j in 0..p_count {
+                let p = (start + j) % p_count;
+                for idx in 0..VOQ_WINDOW {
+                    let Some(Flit::Resp(c)) = self.ret_in[p].peek_at(now, idx) else {
+                        break;
+                    };
+                    if c.txn.master.idx() != m {
+                        continue;
+                    }
+                    let flit = self.ret_in[p].pop_at(now, idx).expect("peeked entry vanished");
+                    let cost = flit.cost_beats();
+                    self.master_ret[m].send(now, p as u16, cost, flit);
+                    self.rr_master[m] = (p + 1) % p_count;
+                    break 'ports;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::InterleaveMode;
     use hbm_axi::{AxiId, BurstLen, Dir, TxnBuilder};
+    use hbm_fabric::difftest::{run_pair, DiffTraffic};
+    use proptest::prelude::*;
 
     fn mao() -> MaoFabric {
         MaoFabric::new(MaoConfig::default())
@@ -461,5 +549,43 @@ mod tests {
         assert_eq!(f.stats().ingress.beats, 16);
         f.reset_stats();
         assert_eq!(f.stats().ingress.beats, 0);
+    }
+
+    proptest! {
+        /// The bitmask tick makes exactly the linear scans' grants —
+        /// including several masters pulling from one port's VOQ window
+        /// in a cycle — for both network depths, shallow to deep reorder
+        /// buffers, and master/port counts that need one and two mask
+        /// words. Slow master drains back the return stages up, so the
+        /// windows fill (VOQ pressure).
+        #[test]
+        fn tick_matches_reference_scan(
+            (masters, ports) in prop::sample::select(vec![(1usize, 1usize), (3, 2), (32, 32), (80, 128)]),
+            stages in 1u8..3,
+            reorder_depth in prop::sample::select(vec![1usize, 4, 32]),
+            seed in any::<u64>(),
+            num_ids in 1u8..9,
+            offer in 64u32..256,
+            hot in prop::sample::select(vec![0u32, 64, 192]),
+            reflect in 64u32..256,
+            drain in prop::sample::select(vec![8u32, 64, 256]),
+        ) {
+            // XOR folding needs at least one port bit.
+            let interleave = if ports == 1 {
+                InterleaveMode::Block { granularity: 512 }
+            } else {
+                InterleaveMode::XorFold { granularity: 512 }
+            };
+            let cfg = MaoConfig {
+                stages, reorder_depth, interleave, num_masters: masters, num_ports: ports,
+                port_capacity: 1 << 20, ..MaoConfig::default()
+            };
+            let mut fast = MaoFabric::new(cfg);
+            let mut reference = MaoFabric::new(cfg);
+            let traffic = DiffTraffic {
+                seed, cycles: 400, port_capacity: cfg.port_capacity, num_ids, offer, hot, reflect, drain,
+            };
+            run_pair(&mut fast, &mut reference, MaoFabric::tick_reference, &traffic);
+        }
     }
 }

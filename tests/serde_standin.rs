@@ -44,3 +44,37 @@ fn default_with_field_still_defaults_when_absent() {
     let back: Record = serde_json::from_str(r#"{"label":"old"}"#).unwrap();
     assert_eq!(back, Record { label: "old".to_string(), addr: 0 });
 }
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Middle {
+    depth: u64,
+    leaf: Record,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Outer {
+    name: String,
+    inner: Middle,
+    #[serde(default)]
+    more: Vec<Middle>,
+}
+
+#[test]
+fn nested_structs_round_trip_byte_identically() {
+    let middle = |depth: u64| Middle {
+        depth,
+        leaf: Record { label: format!("leaf ✓ \"{depth}\""), addr: depth * 0x1000 },
+    };
+    let outer =
+        Outer { name: "outer".to_string(), inner: middle(1), more: vec![middle(2), middle(3)] };
+    let json = serde_json::to_string(&outer).unwrap();
+    let back: Outer = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, outer);
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
+}
+
+#[test]
+fn missing_nested_field_is_still_an_error() {
+    let err = serde_json::from_str::<Middle>(r#"{"depth":1}"#).unwrap_err();
+    assert!(err.to_string().contains("missing field `leaf`"), "{err}");
+}
