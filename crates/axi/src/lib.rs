@@ -48,7 +48,7 @@ pub mod types;
 
 pub use clock::ClockDomain;
 pub use instrument::{Attribution, SharedTracer, Tracer, TxnKey, TxnRecord};
-pub use queue::{DelayQueue, LaneRings, LaneRingsView, StampedRing};
+pub use queue::{DelayQueue, StampedRing};
 pub use tracker::OutstandingTracker;
 pub use transaction::{Completion, Transaction, TxnBuilder, TxnError};
 pub use types::{Addr, AxiId, BeatCounter, BurstLen, Cycle, Dir, MasterId, PortId, BEAT_BYTES};

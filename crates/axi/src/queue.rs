@@ -446,291 +446,6 @@ impl<T> DelayQueue<T> {
     }
 }
 
-/// Many small stamped rings in one lane-major allocation.
-///
-/// A batched (lockstep) kernel owns `lanes` independent queues of the
-/// same small capacity — e.g. one stuck-completion slot per port per
-/// sweep lane. Storing them as separate containers scatters the hot
-/// "does *any* lane hold something, and when does the earliest head
-/// mature?" scans across the heap; [`LaneRings`] instead keeps one
-/// contiguous `head_deadline` array (`Cycle::MAX` = lane empty) so those
-/// cross-lane questions are a single dense pass that never touches a
-/// payload, plus lane-major deadline/payload arrays for the per-lane
-/// ring operations.
-///
-/// Per lane the contract matches [`StampedRing`]: explicit deadlines,
-/// non-decreasing in push order (checked in debug builds), `Err(item)`
-/// back-pressure at the logical capacity. `Cycle::MAX` is reserved as
-/// the empty sentinel and must not be pushed as a deadline.
-pub struct LaneRings<T> {
-    /// Deadline of each lane's head entry, `Cycle::MAX` when the lane is
-    /// empty. The only array cross-lane scans touch.
-    head_deadline: Box<[Cycle]>,
-    /// Per-entry deadlines, lane-major: lane `l`, slot `j` lives at
-    /// `l * phys + j` where `phys = mask + 1`.
-    deadlines: Box<[Cycle]>,
-    slots: Box<[MaybeUninit<T>]>,
-    /// Per-lane ring head index (into the lane's physical window).
-    head: Box<[u32]>,
-    /// Per-lane occupancy.
-    len: Box<[u32]>,
-    lanes: usize,
-    /// Logical per-lane capacity (back-pressure threshold).
-    capacity: usize,
-    /// `physical_per_lane - 1`; physical size is a power of two.
-    mask: usize,
-}
-
-impl<T> LaneRings<T> {
-    /// Creates `lanes` rings of `capacity` items each, fully allocated
-    /// up front.
-    pub fn new(lanes: usize, capacity: usize) -> LaneRings<T> {
-        assert!(lanes >= 1, "need at least one lane");
-        assert!(capacity >= 1, "queue capacity must be at least 1");
-        let physical = capacity.next_power_of_two();
-        LaneRings {
-            head_deadline: vec![Cycle::MAX; lanes].into_boxed_slice(),
-            deadlines: vec![0; lanes * physical].into_boxed_slice(),
-            slots: (0..lanes * physical).map(|_| MaybeUninit::uninit()).collect(),
-            head: vec![0; lanes].into_boxed_slice(),
-            len: vec![0; lanes].into_boxed_slice(),
-            lanes,
-            capacity,
-            mask: physical - 1,
-        }
-    }
-
-    /// Number of lanes.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The per-lane logical capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// A mutable view over all lanes.
-    pub fn view_mut(&mut self) -> LaneRingsView<'_, T> {
-        LaneRingsView {
-            head_deadline: &mut self.head_deadline,
-            deadlines: &mut self.deadlines,
-            slots: &mut self.slots,
-            head: &mut self.head,
-            len: &mut self.len,
-            capacity: self.capacity,
-            mask: self.mask,
-        }
-    }
-
-    /// Splits the lanes into disjoint mutable views of `lanes_per_view`
-    /// consecutive lanes each — one per batch lane, so independent lane
-    /// kernels can hold their slice simultaneously. `lanes` must divide
-    /// evenly.
-    pub fn views_mut(
-        &mut self,
-        lanes_per_view: usize,
-    ) -> impl Iterator<Item = LaneRingsView<'_, T>> {
-        assert!(lanes_per_view >= 1 && self.lanes.is_multiple_of(lanes_per_view));
-        let phys = self.mask + 1;
-        let (capacity, mask) = (self.capacity, self.mask);
-        self.head_deadline
-            .chunks_mut(lanes_per_view)
-            .zip(self.deadlines.chunks_mut(lanes_per_view * phys))
-            .zip(self.slots.chunks_mut(lanes_per_view * phys))
-            .zip(self.head.chunks_mut(lanes_per_view))
-            .zip(self.len.chunks_mut(lanes_per_view))
-            .map(move |((((head_deadline, deadlines), slots), head), len)| LaneRingsView {
-                head_deadline,
-                deadlines,
-                slots,
-                head,
-                len,
-                capacity,
-                mask,
-            })
-    }
-
-    /// `true` when any lane holds an item — one pass over the contiguous
-    /// head-deadline array.
-    #[inline]
-    pub fn any_occupied(&self) -> bool {
-        self.head_deadline.iter().any(|&d| d != Cycle::MAX)
-    }
-}
-
-impl<T> Drop for LaneRings<T> {
-    fn drop(&mut self) {
-        if std::mem::needs_drop::<T>() {
-            let mut v = self.view_mut();
-            for lane in 0..v.lanes() {
-                while v.pop_front(lane).is_some() {}
-            }
-        }
-    }
-}
-
-/// A mutable window over consecutive lanes of a [`LaneRings`] (possibly
-/// all of them). Lane indices are view-local.
-pub struct LaneRingsView<'a, T> {
-    head_deadline: &'a mut [Cycle],
-    deadlines: &'a mut [Cycle],
-    slots: &'a mut [MaybeUninit<T>],
-    head: &'a mut [u32],
-    len: &'a mut [u32],
-    capacity: usize,
-    mask: usize,
-}
-
-impl<T> LaneRingsView<'_, T> {
-    /// Lanes in this view.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.head_deadline.len()
-    }
-
-    /// Physical index of `lane`'s logical position `i` (0 = oldest).
-    #[inline(always)]
-    fn phys(&self, lane: usize, i: usize) -> usize {
-        lane * (self.mask + 1) + ((self.head[lane] as usize + i) & self.mask)
-    }
-
-    /// Re-splits this view into disjoint sub-views of `lanes_per_chunk`
-    /// consecutive lanes (for per-shard domains inside a lane kernel).
-    pub fn chunks_mut(
-        &mut self,
-        lanes_per_chunk: usize,
-    ) -> impl Iterator<Item = LaneRingsView<'_, T>> {
-        assert!(lanes_per_chunk >= 1 && self.lanes().is_multiple_of(lanes_per_chunk));
-        let phys = self.mask + 1;
-        let (capacity, mask) = (self.capacity, self.mask);
-        self.head_deadline
-            .chunks_mut(lanes_per_chunk)
-            .zip(self.deadlines.chunks_mut(lanes_per_chunk * phys))
-            .zip(self.slots.chunks_mut(lanes_per_chunk * phys))
-            .zip(self.head.chunks_mut(lanes_per_chunk))
-            .zip(self.len.chunks_mut(lanes_per_chunk))
-            .map(move |((((head_deadline, deadlines), slots), head), len)| LaneRingsView {
-                head_deadline,
-                deadlines,
-                slots,
-                head,
-                len,
-                capacity,
-                mask,
-            })
-    }
-
-    /// Pushes an item onto `lane` that matures at `deadline`. Returns
-    /// `Err(item)` when the lane is at capacity. Deadlines must be
-    /// non-decreasing per lane and below `Cycle::MAX`.
-    pub fn push(&mut self, lane: usize, deadline: Cycle, item: T) -> Result<(), T> {
-        debug_assert!(deadline < Cycle::MAX, "Cycle::MAX is the empty sentinel");
-        let len = self.len[lane] as usize;
-        if len >= self.capacity {
-            return Err(item);
-        }
-        debug_assert!(
-            len == 0 || deadline >= self.deadlines[self.phys(lane, len - 1)],
-            "LaneRings deadlines must be pushed in non-decreasing order"
-        );
-        let idx = self.phys(lane, len);
-        self.deadlines[idx] = deadline;
-        self.slots[idx].write(item);
-        self.len[lane] = (len + 1) as u32;
-        if len == 0 {
-            self.head_deadline[lane] = deadline;
-        }
-        Ok(())
-    }
-
-    /// A reference to `lane`'s head item if it has matured at `now`.
-    #[inline]
-    pub fn peek(&self, lane: usize, now: Cycle) -> Option<&T> {
-        if self.head_deadline[lane] <= now {
-            // SAFETY: a non-MAX head deadline implies the lane is
-            // non-empty, so its head slot is live.
-            Some(unsafe { self.slots[self.phys(lane, 0)].assume_init_ref() })
-        } else {
-            None
-        }
-    }
-
-    /// Pops `lane`'s head item if it has matured at `now`.
-    #[inline]
-    pub fn pop(&mut self, lane: usize, now: Cycle) -> Option<T> {
-        if self.head_deadline[lane] <= now {
-            self.pop_front(lane).map(|(_, item)| item)
-        } else {
-            None
-        }
-    }
-
-    /// Pops `lane`'s head entry regardless of maturity, with its
-    /// deadline.
-    pub fn pop_front(&mut self, lane: usize) -> Option<(Cycle, T)> {
-        let len = self.len[lane] as usize;
-        if len == 0 {
-            return None;
-        }
-        let idx = self.phys(lane, 0);
-        let deadline = self.deadlines[idx];
-        // SAFETY: the slot is live; advancing `head` below marks it
-        // dead, so this is the unique read of the value.
-        let item = unsafe { self.slots[idx].assume_init_read() };
-        self.head[lane] = ((self.head[lane] as usize + 1) & self.mask) as u32;
-        self.len[lane] = (len - 1) as u32;
-        self.head_deadline[lane] =
-            if len == 1 { Cycle::MAX } else { self.deadlines[self.phys(lane, 0)] };
-        Some((deadline, item))
-    }
-
-    /// Items queued in `lane`.
-    #[inline]
-    pub fn len(&self, lane: usize) -> usize {
-        self.len[lane] as usize
-    }
-
-    /// `true` when `lane` holds nothing.
-    #[inline]
-    pub fn is_empty(&self, lane: usize) -> bool {
-        self.len[lane] == 0
-    }
-
-    /// Deadline of `lane`'s head entry, if any.
-    #[inline]
-    pub fn next_ready_at(&self, lane: usize) -> Option<Cycle> {
-        let d = self.head_deadline[lane];
-        if d == Cycle::MAX {
-            None
-        } else {
-            Some(d)
-        }
-    }
-
-    /// `true` when any lane in the view holds an item — one pass over
-    /// the contiguous head-deadline array, payloads untouched.
-    #[inline]
-    pub fn any_occupied(&self) -> bool {
-        self.head_deadline.iter().any(|&d| d != Cycle::MAX)
-    }
-
-    /// The earliest head deadline across all lanes in the view (`None`
-    /// when every lane is empty) — the view's contribution to a
-    /// next-event horizon, from the same dense array.
-    #[inline]
-    pub fn min_head_deadline(&self) -> Option<Cycle> {
-        let min = self.head_deadline.iter().copied().min()?;
-        if min == Cycle::MAX {
-            None
-        } else {
-            Some(min)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,81 +600,6 @@ mod tests {
         assert!(r.pop(6).is_none());
         assert_eq!(r.pop(7), Some(1));
         assert_eq!(r.pop(9), Some(2));
-    }
-
-    #[test]
-    fn lane_rings_basic_per_lane_fifo() {
-        let mut lr: LaneRings<u32> = LaneRings::new(4, 2);
-        let mut v = lr.view_mut();
-        v.push(0, 5, 10).unwrap();
-        v.push(0, 7, 11).unwrap();
-        v.push(2, 3, 20).unwrap();
-        // Lane 0 is at capacity.
-        assert_eq!(v.push(0, 9, 12), Err(12));
-        assert_eq!(v.len(0), 2);
-        assert!(v.is_empty(1));
-        // Maturity gates per lane.
-        assert!(v.pop(0, 4).is_none());
-        assert_eq!(v.peek(2, 3), Some(&20));
-        assert_eq!(v.pop(0, 5), Some(10));
-        assert_eq!(v.next_ready_at(0), Some(7));
-        assert_eq!(v.pop_front(2), Some((3, 20)));
-        assert!(v.pop_front(2).is_none());
-        assert_eq!(v.pop(0, 7), Some(11));
-        assert!(!v.any_occupied());
-    }
-
-    #[test]
-    fn lane_rings_cross_lane_scans() {
-        let mut lr: LaneRings<u8> = LaneRings::new(6, 1);
-        assert!(!lr.any_occupied());
-        {
-            let mut v = lr.view_mut();
-            assert_eq!(v.min_head_deadline(), None);
-            v.push(5, 42, 1).unwrap();
-            v.push(1, 17, 2).unwrap();
-            assert!(v.any_occupied());
-            assert_eq!(v.min_head_deadline(), Some(17));
-        }
-        assert!(lr.any_occupied());
-        // Disjoint views see only their own lanes.
-        let mut views: Vec<_> = lr.views_mut(2).collect();
-        assert_eq!(views.len(), 3);
-        assert!(views[0].any_occupied()); // lanes 0-1 hold lane 1's item
-        assert!(!views[1].any_occupied()); // lanes 2-3 empty
-        assert_eq!(views[2].min_head_deadline(), Some(42)); // lanes 4-5
-        assert_eq!(views[0].pop(1, 17), Some(2));
-        assert!(!views[0].any_occupied());
-    }
-
-    #[test]
-    fn lane_rings_view_chunks_split_further() {
-        let mut lr: LaneRings<u16> = LaneRings::new(4, 2);
-        let mut v = lr.view_mut();
-        for lane in 0..4 {
-            v.push(lane, lane as Cycle + 1, lane as u16).unwrap();
-        }
-        let mut chunks: Vec<_> = v.chunks_mut(2).collect();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].pop(0, 1), Some(0));
-        assert_eq!(chunks[1].pop(1, 4), Some(3)); // global lane 3, local 1
-        assert_eq!(chunks[1].min_head_deadline(), Some(3));
-    }
-
-    #[test]
-    fn lane_rings_wraparound_and_drop() {
-        let mut lr: LaneRings<String> = LaneRings::new(2, 3); // phys 4
-        let mut v = lr.view_mut();
-        for round in 0u64..10 {
-            v.push(0, round, format!("a{round}")).unwrap();
-            v.push(1, round, format!("b{round}")).unwrap();
-            assert_eq!(v.pop(0, round), Some(format!("a{round}")));
-            assert_eq!(v.pop(1, round), Some(format!("b{round}")));
-        }
-        // Leave live items behind so Drop has to run them.
-        v.push(0, 100, String::from("tail")).unwrap();
-        v.push(1, 100, String::from("tail")).unwrap();
-        drop(lr);
     }
 }
 
@@ -1184,76 +824,6 @@ mod proptests {
                     oracle.front().map(|(t, i)| (*t, *i))
                 );
                 prop_assert!(ring.iter().map(|(t, i)| (t, *i)).eq(oracle.iter().copied()));
-            }
-        }
-
-        /// [`LaneRings`] against one `VecDeque<(Cycle, T)>` oracle per
-        /// lane: per-lane FIFO order, maturity gating, back-pressure,
-        /// and the cross-lane head-deadline scans.
-        #[test]
-        fn lane_rings_match_per_lane_oracles(
-            lanes in 1usize..6,
-            capacity in 1usize..6,
-            ops in proptest::collection::vec((0u8..5, 0usize..6, 0u64..4), 1..250),
-        ) {
-            let mut lr: LaneRings<u64> = LaneRings::new(lanes, capacity);
-            let mut oracle: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); lanes];
-            let mut stamps = vec![0u64; lanes];
-            let mut now = 0u64;
-            let mut next = 0u64;
-            let mut v = lr.view_mut();
-            for (op, lane, arg) in ops {
-                let lane = lane % lanes;
-                match op {
-                    0 | 1 => {
-                        stamps[lane] += arg; // per-lane non-decreasing
-                        let a = v.push(lane, stamps[lane], next);
-                        let b = if oracle[lane].len() >= capacity {
-                            Err(next)
-                        } else {
-                            oracle[lane].push_back((stamps[lane], next));
-                            Ok(())
-                        };
-                        prop_assert_eq!(a, b);
-                        next += 1;
-                    }
-                    2 => {
-                        let expect = match oracle[lane].front() {
-                            Some((t, _)) if *t <= now => {
-                                oracle[lane].pop_front().map(|(_, i)| i)
-                            }
-                            _ => None,
-                        };
-                        prop_assert_eq!(v.pop(lane, now), expect);
-                    }
-                    3 => {
-                        prop_assert_eq!(
-                            v.pop_front(lane),
-                            oracle[lane].pop_front()
-                        );
-                    }
-                    _ => now += arg,
-                }
-                prop_assert_eq!(v.len(lane), oracle[lane].len());
-                prop_assert_eq!(
-                    v.peek(lane, now),
-                    match oracle[lane].front() {
-                        Some((t, i)) if *t <= now => Some(i),
-                        _ => None,
-                    }
-                );
-                prop_assert_eq!(
-                    v.next_ready_at(lane),
-                    oracle[lane].front().map(|(t, _)| *t)
-                );
-                prop_assert_eq!(
-                    v.any_occupied(),
-                    oracle.iter().any(|o| !o.is_empty())
-                );
-                prop_assert_eq!(
-                    v.min_head_deadline(),
-                    oracle.iter().filter_map(|o| o.front().map(|(t, _)| *t)).min()
-                );
             }
         }
     }

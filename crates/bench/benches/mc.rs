@@ -14,10 +14,9 @@
 //! * `same_id` — one AXI ID: every entry behind the head is key-blocked,
 //!   the worst case for the seen-keys walk.
 //!
-//! Each runs at window 4, 16, and 64 (queue depth raised to fit), scalar
-//! (one controller, one bank unit) and lockstep (eight controllers
-//! round-robined over one lane-major bank pool — the batched kernel's
-//! access pattern). Run these when touching `hbm_mem::controller`.
+//! Each runs at window 4, 16, and 64 (queue depth raised to fit) on one
+//! controller and one bank unit. Run these when touching
+//! `hbm_mem::controller`.
 
 use std::hint::black_box;
 
@@ -26,8 +25,6 @@ use hbm_axi::{AxiId, BurstLen, ClockDomain, Cycle, Dir, MasterId, TxnBuilder};
 use hbm_mem::{BankPool, HbmConfig, MemoryController};
 
 const CYCLES: Cycle = 8192;
-/// Lanes in the lockstep-shaped variant.
-const LANES: usize = 8;
 
 #[derive(Clone, Copy)]
 enum Shape {
@@ -101,37 +98,6 @@ fn drive_scalar(cfg: &HbmConfig, shape: Shape) -> u64 {
     popped + m.queue_len() as u64
 }
 
-/// Eight controllers round-robined per cycle over one lane-major bank
-/// pool — the lockstep kernel's per-port access pattern.
-fn drive_lockstep(cfg: &HbmConfig, shape: Shape) -> u64 {
-    let mut mcs: Vec<MemoryController> = (0..LANES)
-        .map(|l| MemoryController::new(cfg, ClockDomain::ACC_300, l as f64 * 100.0))
-        .collect();
-    let mut pool = BankPool::new(LANES, cfg.banks_per_pch);
-    let mut builders: Vec<TxnBuilder> =
-        (0..LANES).map(|l| TxnBuilder::new(MasterId(l as u16))).collect();
-    let mut i = 0u64;
-    let mut popped = 0u64;
-    let mut view = pool.view_mut();
-    for now in 0..CYCLES / LANES as Cycle {
-        for (l, m) in mcs.iter_mut().enumerate() {
-            let (addr, dir, id) = shape.nth(i);
-            if m.can_accept(dir) {
-                let txn = builders[l]
-                    .issue(AxiId(id), addr, BurstLen::of(16), dir, now)
-                    .expect("legal burst");
-                m.accept(now, txn);
-                i += 1;
-            }
-            m.tick(now, &mut view.unit_mut(l));
-            while m.pop_completion(now).is_some() {
-                popped += 1;
-            }
-        }
-    }
-    popped + mcs.iter().map(|m| m.queue_len() as u64).sum::<u64>()
-}
-
 fn bench_mc_tick(c: &mut Criterion) {
     let mut g = c.benchmark_group("mc_tick");
     g.throughput(Throughput::Elements(CYCLES));
@@ -140,9 +106,6 @@ fn bench_mc_tick(c: &mut Criterion) {
             let cfg = config_with_window(window);
             g.bench_function(BenchmarkId::new(format!("scalar/{}", shape.name()), window), |b| {
                 b.iter(|| black_box(drive_scalar(&cfg, shape)))
-            });
-            g.bench_function(BenchmarkId::new(format!("lockstep/{}", shape.name()), window), |b| {
-                b.iter(|| black_box(drive_lockstep(&cfg, shape)))
             });
         }
     }

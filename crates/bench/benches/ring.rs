@@ -1,6 +1,6 @@
 //! Criterion microbenches of the queue substrate itself: the flat SoA
 //! `StampedRing`/`DelayQueue` against the `VecDeque<(Cycle, T)>` layout
-//! it replaced, plus the lane-major `LaneRings` cross-lane scans.
+//! it replaced.
 //!
 //! These isolate the data-structure cost that `repro profile` reports
 //! as the QueueOps phase; run them when touching `hbm_axi::queue`.
@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hbm_axi::{Cycle, DelayQueue, LaneRings};
+use hbm_axi::{Cycle, DelayQueue};
 
 /// The payload the hot fabric queues actually carry is a ~64-byte
 /// transaction/flit struct; model that so cache behaviour is honest.
@@ -101,27 +101,5 @@ fn bench_next_ready(c: &mut Criterion) {
     g.finish();
 }
 
-/// The batched kernel's cross-lane occupancy scan: `LaneRings` reads one
-/// contiguous deadline array; the replaced layout walked a
-/// `Vec<Option<Payload>>` of fat options.
-fn bench_lane_scan(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lane_occupancy_scan");
-    for lanes in [128usize, 512] {
-        g.throughput(Throughput::Elements(lanes as u64));
-        let mut lr: LaneRings<Payload> = LaneRings::new(lanes, 1);
-        let mut opts: Vec<Option<Payload>> = vec![None; lanes];
-        // One straggler near the end, like a single stuck completion.
-        lr.view_mut().push(lanes - 3, 9, Payload { _words: [7; 8] }).ok();
-        opts[lanes - 3] = Some(Payload { _words: [7; 8] });
-        g.bench_function(BenchmarkId::new("lane_rings", lanes), |b| {
-            b.iter(|| black_box(&lr).any_occupied())
-        });
-        g.bench_function(BenchmarkId::new("vec_option", lanes), |b| {
-            b.iter(|| black_box(&opts).iter().any(|s| s.is_some()))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_push_pop, bench_next_ready, bench_lane_scan);
+criterion_group!(benches, bench_push_pop, bench_next_ready);
 criterion_main!(benches);

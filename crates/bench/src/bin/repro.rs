@@ -56,8 +56,8 @@
 //! be diffed; `trace` writes `TRACE_events.json` (Chrome trace-event
 //! JSON, loadable in Perfetto) and `TRACE_probes.jsonl` (windowed
 //! time-series snapshots) and prints the latency-attribution tables;
-//! `profile` prints the kernel phase-attribution tables (scalar and
-//! lockstep) with observer and metrics overhead — `--smoke` asserts the
+//! `profile` prints the kernel phase-attribution table with observer
+//! and metrics overhead — `--smoke` asserts the
 //! telescoping self-consistency invariant and the <5 % metrics-overhead
 //! budget.
 //!
@@ -130,7 +130,6 @@ fn run_simspeed(quick: bool, json: bool) {
     let rows = simspeed::run_matrix(quick);
     let sweeps = simspeed::run_sweep_matrix(quick);
     let conductor = simspeed::run_conductor_matrix(quick);
-    let batched = simspeed::run_batched_matrix(quick);
     let serve = simspeed::run_serve_overhead(quick);
     let cache = simspeed::run_cache_matrix(quick);
     let analytical = simspeed::run_analytical_matrix(quick);
@@ -141,7 +140,6 @@ fn run_simspeed(quick: bool, json: bool) {
         "rows": rows,
         "sweeps": sweeps,
         "conductor": conductor,
-        "batched": batched,
         "serve": serve,
         "serve_overhead_pct": serve.serve_overhead_pct,
         "cache": cache,
@@ -161,7 +159,6 @@ fn run_simspeed(quick: bool, json: bool) {
         println!("{}", simspeed::render(&rows));
         println!("{}", simspeed::render_sweeps(&sweeps));
         println!("{}", simspeed::render_conductor(&conductor));
-        println!("{}", simspeed::render_batched(&batched));
         println!("{}", simspeed::render_serve(&serve));
         println!("{}", simspeed::render_cache(&cache));
         println!("{}", simspeed::render_analytical(&analytical));
@@ -170,21 +167,23 @@ fn run_simspeed(quick: bool, json: bool) {
     }
 }
 
-/// Profiles both kernels and prints the phase-attribution report.
+/// Profiles the cycle kernel and prints the phase-attribution report.
 /// `--smoke` is the CI gate: it asserts the telescoping self-consistency
-/// invariant (phase sums ≡ measured loop time) for both kernels and the
-/// metrics-registry overhead budget.
+/// invariant (phase sums ≡ measured loop time), that every phase lapped,
+/// and the metrics-registry overhead budget.
 fn run_profile(quick: bool, json: bool, smoke: bool) {
     use hbm_bench::profilecmd;
     // Smoke always runs quick-sized windows — it gates CI, not numbers.
     let out = profilecmd::run_profile(quick || smoke);
     if smoke {
         assert!(
-            out.scalar.report.consistent() && out.lockstep.report.consistent(),
+            out.scalar.report.consistent(),
             "phase attribution must telescope to the measured loop time"
         );
-        assert!(out.scalar.report.laps > 0, "scalar kernel recorded no laps");
-        assert!(out.lockstep.report.laps > 0, "lockstep kernel recorded no laps");
+        assert!(out.scalar.report.laps > 0, "kernel recorded no laps");
+        for p in hbm_core::PHASES {
+            assert!(out.scalar.report.ns(p) > 0, "phase {} recorded no time", p.name());
+        }
         assert!(
             out.metrics.overhead_pct < 5.0,
             "metrics registry overhead {:.2}% breaches the 5% budget",
@@ -305,16 +304,6 @@ fn parse_jobs_or_die(v: &str) -> usize {
     })
 }
 
-/// Parses a `--batch` value through the shared validator, exiting loudly
-/// on anything that is not a positive lane count, `0`, or `off`.
-fn parse_batch_or_die(v: &str) -> usize {
-    hbm_core::batch::parse_batch(v).unwrap_or_else(|e| {
-        eprintln!("--batch: {e}");
-        eprintln!("usage: --batch N|off (lockstep lanes per batch)");
-        std::process::exit(2);
-    })
-}
-
 /// Parses a `--fidelity` value, exiting 2 with usage on anything that is
 /// not one of the three stable tier names.
 fn parse_fidelity_or_die(v: &str) -> Fidelity {
@@ -405,7 +394,6 @@ fn main() {
         hbm_core::metrics::set_enabled(true);
     }
     let mut jobs_value: Option<usize> = None;
-    let mut batch_value: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let mut fidelity_value: Option<Fidelity> = None;
     let mut out_path: Option<String> = None;
@@ -445,16 +433,6 @@ fn main() {
             skip_next = true;
         } else if let Some(v) = a.strip_prefix("--jobs=") {
             jobs_value = Some(parse_jobs_or_die(v));
-        } else if a == "--batch" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--batch requires a lane count");
-                eprintln!("usage: --batch N|off (lockstep lanes per batch)");
-                std::process::exit(2);
-            });
-            batch_value = Some(parse_batch_or_die(v));
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--batch=") {
-            batch_value = Some(parse_batch_or_die(v));
         } else if a == "--cache-dir" {
             let v = args.get(i + 1).unwrap_or_else(|| {
                 eprintln!("--cache-dir requires a directory");
@@ -476,9 +454,6 @@ fn main() {
     }
     if let Some(jobs) = jobs_value {
         hbm_core::batch::set_sweep_jobs(jobs);
-    }
-    if let Some(lanes) = batch_value {
-        hbm_core::batch::set_batch_lanes(lanes);
     }
     // Cache policy: --no-cache wins over everything; --cache-dir enables
     // the global cache with a disk tier (HBM_CACHE_DIR already did the

@@ -1,14 +1,12 @@
-//! `repro profile` — per-phase wall-time attribution of both kernels.
+//! `repro profile` — per-phase wall-time attribution of the cycle kernel.
 //!
-//! Wraps [`hbm_core::measure::measure`] (scalar) and
-//! [`hbm_core::lockstep::measure_batch`] (lockstep) in a
-//! [`hbm_core::profile`] window and reports where the loop time went:
-//! gens-tick, fabric-tick, MC-tick, horizon-compute, queue-ops, and
-//! lockstep-reconcile. The telescoping-lap design guarantees the phase
-//! sums equal the measured window to the nanosecond
-//! ([`PhaseReport::consistent`]); `--smoke` asserts it.
+//! Wraps [`hbm_core::measure::measure`] in a [`hbm_core::profile`]
+//! window and reports where the loop time went: gens-tick, fabric-tick,
+//! MC-tick, horizon-compute, and queue-ops. The telescoping-lap design
+//! guarantees the phase sums equal the measured window to the
+//! nanosecond ([`PhaseReport::consistent`]); `--smoke` asserts it.
 //!
-//! Each kernel is also timed *unprofiled* (best-of-N, same warm-up
+//! The kernel is also timed *unprofiled* (best-of-N, same warm-up
 //! discipline as `simspeed`) so the report carries an honest
 //! `observer_overhead_pct` — the cost of the `Instant::now()` stamps
 //! themselves. A metrics-overhead pair (same grid with the registry
@@ -21,7 +19,7 @@ use hbm_core::{metrics, SystemConfig};
 use hbm_traffic::Workload;
 use serde_json::Value;
 
-/// One kernel's profiled window plus the unprofiled reference timing.
+/// The kernel's profiled window plus the unprofiled reference timing.
 #[derive(Debug, Clone)]
 pub struct ProfiledKernel {
     /// The phase attribution (self-consistent by construction).
@@ -53,10 +51,8 @@ pub struct MetricsOverhead {
 /// Everything `repro profile` measures.
 #[derive(Debug, Clone)]
 pub struct ProfileOut {
-    /// The scalar kernel (`HbmSystem::run`) window.
+    /// The cycle kernel (`measure`, i.e. `HbmSystem::run`) window.
     pub scalar: ProfiledKernel,
-    /// The lockstep batched kernel window.
-    pub lockstep: ProfiledKernel,
     /// Registry on/off cost over a sweep grid.
     pub metrics: MetricsOverhead,
 }
@@ -73,7 +69,7 @@ fn wall_best_of<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     best
 }
 
-/// Profiles one kernel: unprofiled best-of-N reference, then one
+/// Profiles the kernel: unprofiled best-of-N reference, then one
 /// profiled window on the same thread.
 fn profile_kernel<F: FnMut()>(kernel: Kernel, repeats: usize, mut run: F) -> ProfiledKernel {
     let plain_wall_s = wall_best_of(repeats, &mut run);
@@ -104,21 +100,11 @@ pub fn run_profile(quick: bool) -> ProfileOut {
     let scalar = profile_kernel(Kernel::Scalar, repeats, || {
         let _ = hbm_core::measure::measure(&cfg, wl, warmup, cycles);
     });
-
-    // Four lanes with distinct rotations: enough divergence that the
-    // reconcile path (cross-lane min-horizon folds) actually runs.
-    let lanes: Vec<Workload> =
-        [0usize, 1, 2, 4].iter().map(|&r| Workload { rotation: r, ..wl }).collect();
-    let lockstep = profile_kernel(Kernel::Lockstep, repeats, || {
-        let _ = hbm_core::lockstep::measure_batch(&cfg, &lanes, warmup, cycles);
-    });
-
-    ProfileOut { scalar, lockstep, metrics: metrics_overhead(quick) }
+    ProfileOut { scalar, metrics: metrics_overhead(quick) }
 }
 
 /// Times the Fig. 4 grid with the metric registry enabled vs disabled
-/// (cache pinned off, one worker — same isolation discipline as the
-/// batched matrix). The true cost is a handful of atomic adds per
+/// (cache pinned off, one worker). The true cost is a handful of atomic adds per
 /// *measurement* — far below timing noise on a short run — so the
 /// rounds interleave the two sides in ABBA order with best-of-N on each
 /// (the `run_serve_overhead` discipline) to cancel clock drift rather
@@ -185,7 +171,6 @@ fn kernel_json(k: &ProfiledKernel) -> Value {
 pub fn to_json(out: &ProfileOut) -> Value {
     serde_json::json!({
         "scalar": kernel_json(&out.scalar),
-        "lockstep": kernel_json(&out.lockstep),
         "metrics_overhead_pct": out.metrics.overhead_pct,
         "metrics_plain_wall_s": out.metrics.plain_wall_s,
         "metrics_wall_s": out.metrics.metrics_wall_s,
@@ -225,11 +210,10 @@ pub fn render(out: &ProfileOut) -> String {
     format!(
         "Kernel phase profile (telescoping laps: phase sums equal measured\n\
          loop time exactly; see DESIGN.md §3.7)\n\n\
-         {}\n{}\n\
+         {}\n\
          Metrics registry overhead (fig4 grid, registry on vs off):\n\
          {:.6} s off, {:.6} s on ({:+.2}%)\n",
         render_kernel(&out.scalar),
-        render_kernel(&out.lockstep),
         out.metrics.plain_wall_s,
         out.metrics.metrics_wall_s,
         out.metrics.overhead_pct,
@@ -244,14 +228,11 @@ mod tests {
     fn quick_profile_is_consistent() {
         let out = run_profile(true);
         assert!(out.scalar.report.consistent());
-        assert!(out.lockstep.report.consistent());
         assert_eq!(out.scalar.report.kernel, Kernel::Scalar);
-        assert_eq!(out.lockstep.report.kernel, Kernel::Lockstep);
-        // The scalar kernel never touches the reconcile path; the
-        // lockstep kernel must.
-        assert_eq!(out.scalar.report.ns(profile::Phase::LockstepReconcile), 0);
-        assert!(out.lockstep.report.ns(profile::Phase::LockstepReconcile) > 0);
         assert!(out.scalar.report.laps > 0);
+        for p in PHASES {
+            assert!(out.scalar.report.ns(p) > 0, "phase {} recorded no time", p.name());
+        }
     }
 
     #[test]

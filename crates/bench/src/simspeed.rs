@@ -407,101 +407,6 @@ pub fn run_serve_overhead(quick: bool) -> ServeOverheadRow {
     }
 }
 
-/// One measured lockstep-batching cell: the fig4 grid run through the
-/// scalar path and through [`hbm_core::lockstep::BatchedSystem`] lanes
-/// at one lane budget.
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchedRow {
-    /// Grid measured (the Fig. 4 rotation × burst grid).
-    pub grid: &'static str,
-    /// Lockstep lane budget (`HBM_BATCH` equivalent) for the batched
-    /// run; the scalar reference pins the budget to 1.
-    pub lanes: usize,
-    /// Grid points measured.
-    pub points: usize,
-    /// Scalar-path throughput in sweep points per wall-second.
-    pub scalar_pts_per_s: f64,
-    /// Batched-path throughput in sweep points per wall-second.
-    pub batched_pts_per_s: f64,
-    /// `batched_pts_per_s / scalar_pts_per_s`.
-    pub speedup: f64,
-    /// Whether every batched row serialised byte-identical to its
-    /// scalar counterpart (asserted — recorded so the JSON artefact
-    /// carries the proof).
-    pub byte_identical: bool,
-}
-
-/// Times the Fig. 4 grid through the scalar path (lane budget 1) and
-/// through lockstep batches at lane budgets 4, 8, and 16, on a single
-/// worker thread so the ratio isolates the batched kernel from thread
-/// scheduling. Every batched row is asserted byte-identical to the
-/// scalar reference before any number is reported. The result cache is
-/// pinned off on both sides — this measures simulation, not memoisation.
-pub fn run_batched_matrix(quick: bool) -> Vec<BatchedRow> {
-    use hbm_core::batch::set_batch_lanes;
-
-    let (warmup, cycles) = if quick { (500, 1_500) } else { (2_000, 8_000) };
-    let repeats = if quick { 1 } else { 3 };
-    let grid = hbm_core::experiment::fig4_grid();
-    let no_cache = hbm_core::ResultCache::disabled();
-    let run = |lanes: usize| {
-        set_batch_lanes(lanes);
-        let mut best = f64::INFINITY;
-        let mut rows = Vec::new();
-        for _ in 0..=repeats {
-            // First pass is untimed warm-up (allocator growth, caches).
-            let t0 = Instant::now();
-            rows = hbm_core::batch::run_grid_with_cache(&grid, warmup, cycles, 1, &no_cache);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        (rows, best)
-    };
-
-    let (scalar_rows, scalar_wall) = run(1);
-    let scalar_pts_per_s = grid.len() as f64 / scalar_wall.max(1e-12);
-    let out = [4usize, 8, 16]
-        .iter()
-        .map(|&lanes| {
-            let (batched_rows, batched_wall) = run(lanes);
-            for (i, (b, s)) in batched_rows.iter().zip(&scalar_rows).enumerate() {
-                assert_eq!(
-                    serde_json::to_string(b).unwrap(),
-                    serde_json::to_string(s).unwrap(),
-                    "batched row {i} diverged from the scalar path at {lanes} lanes"
-                );
-            }
-            let batched_pts_per_s = grid.len() as f64 / batched_wall.max(1e-12);
-            BatchedRow {
-                grid: "fig4",
-                lanes,
-                points: grid.len(),
-                scalar_pts_per_s,
-                batched_pts_per_s,
-                speedup: batched_pts_per_s / scalar_pts_per_s.max(1e-12),
-                byte_identical: true,
-            }
-        })
-        .collect();
-    set_batch_lanes(0);
-    out
-}
-
-/// Renders the lockstep-batching section as an aligned text table.
-pub fn render_batched(rows: &[BatchedRow]) -> String {
-    let mut out = String::from(
-        "Lockstep batching (fig4 grid, one worker thread: scalar path vs\n\
-         K-lane batches; batched rows proven byte-identical to scalar)\n\
-         grid   lanes  points  scalar_pts/s  batched_pts/s   speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<6} {:>5} {:>7} {:>13.2} {:>14.2} {:>8.2}x\n",
-            r.grid, r.lanes, r.points, r.scalar_pts_per_s, r.batched_pts_per_s, r.speedup
-        ));
-    }
-    out
-}
-
 /// One cold/warm pair through the result cache: the fig4 grid run twice
 /// against the same (memory-tier) [`hbm_core::ResultCache`].
 #[derive(Debug, Clone, Serialize)]

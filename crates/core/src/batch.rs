@@ -1,7 +1,7 @@
 //! Parallel execution of measurement grids.
 //!
 //! Parameter sweeps (Fig. 3's 4 patterns × 5 burst lengths × 3 mixes,
-//! the `sweep` binary's grids) are embarrassingly parallel: every run is
+//! Fig. 4's rotations) are embarrassingly parallel: every run is
 //! an independent deterministic simulation. [`par_map`] fans any such
 //! work-list out over OS threads with `std::thread::scope` — no extra
 //! dependencies — while preserving result order; [`run_grid`] is its
@@ -15,32 +15,15 @@
 //! rows as `Failed`). [`par_map`] keeps its infallible signature by
 //! completing every healthy item first and only then re-raising the
 //! first captured panic.
-//!
-//! ## Lockstep batching
-//!
-//! On top of thread-level farming, [`run_grid`] groups points that share
-//! a *topology* (equal [`SystemConfig`], distinguished by
-//! [`crate::cache::topology_key`]) into lockstep batches executed by
-//! [`crate::lockstep::BatchedSystem`] — K sweep points advanced through
-//! one devirtualised instruction stream (DESIGN.md §3.6). The planner
-//! ([`plan_batches`]) is pure bookkeeping: grids with nothing to batch
-//! (a single point, or all points on distinct topologies) return `None`
-//! and take the scalar path with zero batched setup cost. The lane
-//! budget comes from [`batch_lanes`] (`HBM_BATCH`, default
-//! [`DEFAULT_BATCH_LANES`]; `off`/`0` disables batching), and groups are
-//! split so thread-level parallelism is preserved: a 14-point group on 4
-//! workers becomes 4 batches, not one 14-lane batch on one core.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use hbm_traffic::Workload;
 
-use crate::cache::{fingerprint, topology_key, ResultCache};
+use crate::cache::ResultCache;
 use crate::experiment::Fidelity;
-use crate::lockstep::measure_batch;
 use crate::measure::{measure, Measurement};
 use crate::metrics::{self, Counter, Registry};
 use crate::system::SystemConfig;
@@ -93,183 +76,6 @@ pub fn sweep_jobs() -> usize {
         }
     }
     default_threads()
-}
-
-/// Default lockstep lane budget per batch when neither
-/// [`set_batch_lanes`] nor `HBM_BATCH` says otherwise. Lanes beyond the
-/// point of diminishing returns only grow the working set, and groups
-/// are split across workers anyway; 16 covers every grid in the repo.
-pub const DEFAULT_BATCH_LANES: usize = 16;
-
-/// Process-wide lockstep lane budget; 0 means "not set explicitly".
-static BATCH_LANES: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide lockstep lane budget (e.g. from `--batch N`).
-/// `1` forces the scalar path; `0` clears the override, falling back to
-/// `HBM_BATCH` / [`DEFAULT_BATCH_LANES`].
-pub fn set_batch_lanes(lanes: usize) {
-    BATCH_LANES.store(lanes, Ordering::Relaxed);
-}
-
-/// Parses a lane budget from a `--batch` flag or the `HBM_BATCH`
-/// environment variable. `"off"` and `"0"` mean "scalar path" (a budget
-/// of 1); anything else must be a positive integer.
-pub fn parse_batch(s: &str) -> Result<usize, String> {
-    let t = s.trim();
-    if t.eq_ignore_ascii_case("off") || t == "0" {
-        return Ok(1);
-    }
-    match t.parse::<usize>() {
-        Ok(n) => Ok(n),
-        Err(_) => {
-            Err(format!("invalid batch value {s:?}: must be a positive integer, 0, or \"off\""))
-        }
-    }
-}
-
-/// The lockstep lane budget: an explicit [`set_batch_lanes`] value if
-/// one was given, else the `HBM_BATCH` environment variable, else
-/// [`DEFAULT_BATCH_LANES`]. A budget of 1 disables batching. As with
-/// `HBM_JOBS`, a present-but-garbled `HBM_BATCH` is a configuration
-/// error: the process exits non-zero instead of silently falling back.
-pub fn batch_lanes() -> usize {
-    let set = BATCH_LANES.load(Ordering::Relaxed);
-    if set >= 1 {
-        return set;
-    }
-    if let Ok(v) = std::env::var("HBM_BATCH") {
-        match parse_batch(&v) {
-            Ok(n) => return n,
-            Err(e) => {
-                eprintln!(
-                    "HBM_BATCH: {e}\nusage: HBM_BATCH=<lanes>|off (lockstep lanes per batch)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    DEFAULT_BATCH_LANES
-}
-
-/// One unit of work in a planned grid: either a single point on the
-/// scalar path or a lane group sharing one lockstep engine. Indices
-/// refer to the original `points` slice, so results scatter back into
-/// input order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchTask {
-    /// Measure this point alone (singleton topology group, or leftover
-    /// after chunking).
-    Scalar(usize),
-    /// Advance these points as lanes of one [`crate::lockstep::BatchedSystem`].
-    Lanes(Vec<usize>),
-}
-
-/// Planner-decision counters, published through the workspace metric
-/// registry: how many grids took each route, how many tasks of each
-/// kind the planner emitted, and how many points each execution path
-/// carried. Recorded per [`run_grid_with_cache`] call when metrics are
-/// enabled.
-struct PlannerMetrics {
-    grids_batched: Arc<Counter>,
-    grids_scalar: Arc<Counter>,
-    tasks_scalar: Arc<Counter>,
-    tasks_lanes: Arc<Counter>,
-    points_scalar: Arc<Counter>,
-    points_lanes: Arc<Counter>,
-}
-
-fn build_planner_metrics(reg: &Registry) -> PlannerMetrics {
-    let grids = "Grids routed by the batch planner, by chosen route";
-    let tasks = "Batch tasks emitted by the planner, by kind";
-    let points = "Grid points routed to an execution path";
-    PlannerMetrics {
-        grids_batched: reg.counter("hbm_batch_grids_total", grids, &[("route", "batched")]),
-        grids_scalar: reg.counter("hbm_batch_grids_total", grids, &[("route", "scalar")]),
-        tasks_scalar: reg.counter("hbm_batch_tasks_total", tasks, &[("kind", "scalar")]),
-        tasks_lanes: reg.counter("hbm_batch_tasks_total", tasks, &[("kind", "lanes")]),
-        points_scalar: reg.counter("hbm_batch_points_total", points, &[("path", "scalar")]),
-        points_lanes: reg.counter("hbm_batch_points_total", points, &[("path", "lanes")]),
-    }
-}
-
-fn planner_metrics() -> &'static PlannerMetrics {
-    static M: OnceLock<PlannerMetrics> = OnceLock::new();
-    M.get_or_init(|| build_planner_metrics(Registry::global()))
-}
-
-/// Pre-registers the planner series (all zero) so expositions are
-/// complete before the first planned grid. Called by the registry's
-/// built-in installer.
-pub(crate) fn install_planner_series(reg: &Registry) {
-    build_planner_metrics(reg);
-}
-
-/// Records one planned grid's routing decision.
-fn record_plan(tasks: &[BatchTask]) {
-    let m = planner_metrics();
-    m.grids_batched.inc();
-    for t in tasks {
-        match t {
-            BatchTask::Scalar(_) => {
-                m.tasks_scalar.inc();
-                m.points_scalar.inc();
-            }
-            BatchTask::Lanes(idxs) => {
-                m.tasks_lanes.inc();
-                m.points_lanes.add(idxs.len() as u64);
-            }
-        }
-    }
-}
-
-/// Groups grid points by topology fingerprint into lockstep batch tasks.
-///
-/// Returns `None` when there is nothing to batch — fewer than two
-/// points, or every topology group a singleton — so such grids route
-/// through the scalar path without constructing any batched state (the
-/// zero-overhead fallback, asserted by `crates/bench/tests/`). Groups
-/// keep first-seen order and in-group points keep input order; chunking
-/// caps lanes at `lanes` per batch *and* splits large groups across
-/// `threads` workers so batching never serialises a sweep that thread
-/// farming would have parallelised.
-pub fn plan_batches(points: &[GridPoint], lanes: usize, threads: usize) -> Option<Vec<BatchTask>> {
-    if points.len() < 2 || lanes < 2 {
-        return None;
-    }
-    let mut order = Vec::new();
-    let mut groups: HashMap<u128, Vec<usize>> = HashMap::new();
-    for (i, (cfg, _)) in points.iter().enumerate() {
-        let key = topology_key(cfg).0;
-        let group = groups.entry(key).or_default();
-        if group.is_empty() {
-            order.push(key);
-        }
-        group.push(i);
-    }
-    if groups.values().all(|g| g.len() < 2) {
-        return None;
-    }
-    let mut tasks = Vec::new();
-    for key in order {
-        let group = &groups[&key];
-        if group.len() < 2 {
-            tasks.push(BatchTask::Scalar(group[0]));
-            continue;
-        }
-        // Lanes per batch: bounded by the budget, but no wider than
-        // what keeps every worker busy (each batch needs ≥ 2 lanes to
-        // be worth building).
-        let spread = group.len().div_ceil(threads.clamp(1, group.len() / 2));
-        let chunk = lanes.min(spread.max(2));
-        for c in group.chunks(chunk) {
-            if c.len() < 2 {
-                tasks.push(BatchTask::Scalar(c[0]));
-            } else {
-                tasks.push(BatchTask::Lanes(c.to_vec()));
-            }
-        }
-    }
-    Some(tasks)
 }
 
 /// Order-preserving parallel map: applies `f` to every item on up to
@@ -379,32 +185,16 @@ pub fn run_grid_with_cache(
     threads: usize,
     cache: &ResultCache,
 ) -> Vec<Measurement> {
-    let before = cache.is_enabled().then(|| cache.snapshot());
-    let lanes = batch_lanes();
-    if lanes > 1 {
-        if let Some(tasks) = plan_batches(points, lanes, threads) {
-            if metrics::enabled() {
-                record_plan(&tasks);
-            }
-            let out = run_grid_batched(points, &tasks, warmup, cycles, threads, cache);
-            grid_cache_summary(cache, before.as_ref(), points.len());
-            return out;
-        }
-    }
-    if metrics::enabled() {
-        let m = planner_metrics();
-        m.grids_scalar.inc();
-        m.points_scalar.add(points.len() as u64);
-    }
     if !cache.is_enabled() {
         return par_map(points, threads, |(cfg, wl)| measure(cfg, *wl, warmup, cycles));
     }
+    let before = cache.snapshot();
     let fid = Fidelity::cycle(warmup, cycles);
     let out = par_map(points, threads, |(cfg, wl)| cache.measure_cached(cfg, wl, fid));
     if let Err(e) = cache.flush() {
         eprintln!("hbm-cache: flush failed: {e}");
     }
-    grid_cache_summary(cache, before.as_ref(), points.len());
+    grid_cache_summary(cache, &before, points.len());
     out
 }
 
@@ -413,8 +203,7 @@ pub fn run_grid_with_cache(
 /// cache counters, so concurrent grids in other threads can bleed into
 /// each other's numbers — this is a debugging aid, not an accounting
 /// source (the registry's cache collectors are).
-fn grid_cache_summary(cache: &ResultCache, before: Option<&crate::cache::CacheSnapshot>, n: usize) {
-    let Some(before) = before else { return };
+fn grid_cache_summary(cache: &ResultCache, before: &crate::cache::CacheSnapshot, n: usize) {
     let after = cache.snapshot();
     eprintln!(
         "hbm-cache: grid of {n} points: {} hits, {} misses, {} coalesced ({} entries held)",
@@ -425,72 +214,8 @@ fn grid_cache_summary(cache: &ResultCache, before: Option<&crate::cache::CacheSn
     );
 }
 
-/// Executes a planned grid: batch tasks are farmed over `threads`
-/// workers exactly like scalar points, each [`BatchTask::Lanes`] first
-/// answering what it can from the cache and advancing only the missing
-/// lanes in lockstep, then every computed row is inserted back under its
-/// point fingerprint — so warm re-runs hit regardless of which path
-/// produced the entry, and serve jobs stream batched rows through the
-/// same content addresses. Within one grid the batch path relies on the
-/// planner (duplicate points land in one task and compute identical
-/// rows) rather than the cache's single-flight; cross-job dedup is
-/// unchanged (DESIGN.md §3.6).
-fn run_grid_batched(
-    points: &[GridPoint],
-    tasks: &[BatchTask],
-    warmup: u64,
-    cycles: u64,
-    threads: usize,
-    cache: &ResultCache,
-) -> Vec<Measurement> {
-    let fid = Fidelity::cycle(warmup, cycles);
-    let produced = par_map(tasks, threads, |task| -> Vec<(usize, Measurement)> {
-        match task {
-            BatchTask::Scalar(i) => {
-                let (cfg, wl) = &points[*i];
-                vec![(*i, cache.measure_cached(cfg, wl, fid))]
-            }
-            BatchTask::Lanes(idxs) => {
-                let mut rows = Vec::with_capacity(idxs.len());
-                let mut misses = Vec::new();
-                for &i in idxs {
-                    let (cfg, wl) = &points[i];
-                    let fp = fingerprint(cfg, wl, fid);
-                    match cache.get(fp) {
-                        Some(m) => rows.push((i, (*m).clone())),
-                        None => {
-                            cache.record_miss();
-                            misses.push((i, fp));
-                        }
-                    }
-                }
-                if !misses.is_empty() {
-                    let cfg = &points[misses[0].0].0;
-                    let wls: Vec<Workload> = misses.iter().map(|&(i, _)| points[i].1).collect();
-                    let computed = measure_batch(cfg, &wls, warmup, cycles);
-                    for (&(i, fp), m) in misses.iter().zip(computed) {
-                        cache.insert(fp, Arc::new(m.clone()));
-                        rows.push((i, m));
-                    }
-                }
-                rows
-            }
-        }
-    });
-    let mut out: Vec<Option<Measurement>> = (0..points.len()).map(|_| None).collect();
-    for (i, m) in produced.into_iter().flatten() {
-        out[i] = Some(m);
-    }
-    if cache.is_enabled() {
-        if let Err(e) = cache.flush() {
-            eprintln!("hbm-cache: flush failed: {e}");
-        }
-    }
-    out.into_iter().map(|m| m.expect("every planned task deposited its rows")).collect()
-}
-
 /// [`run_grid`] generalised over the fidelity *tier*: cycle fidelities
-/// route through [`run_grid_with_cache`] (lockstep batching and all),
+/// route through [`run_grid_with_cache`],
 /// analytical fidelities evaluate the calibrated closed-form model per
 /// point — still content-addressed and single-flighted through the
 /// cache, under calibration-keyed fingerprints.

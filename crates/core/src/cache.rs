@@ -156,23 +156,6 @@ pub fn fingerprint_calibrated(
     Fingerprint((u128::from(hi) << 64) | u128::from(lo))
 }
 
-/// A structural fingerprint of the *topology* alone — the
-/// [`SystemConfig`] without any workload or fidelity — under the same
-/// canonicalisation as [`fingerprint`]. Two grid points with equal
-/// topology keys share fabric geometry, controller timing, and clock,
-/// differing only in what traffic they run; the batch planner
-/// (`hbm_core::batch`) groups such points into one lockstep
-/// [`BatchedSystem`](crate::lockstep::BatchedSystem).
-pub fn topology_key(cfg: &SystemConfig) -> Fingerprint {
-    let canon = format!(
-        "v{SIM_KERNEL_VERSION}|topology|{}",
-        serde_json::to_string(cfg).expect("SystemConfig serialises"),
-    );
-    let hi = fnv1a(0xcbf2_9ce4_8422_2325, canon.as_bytes());
-    let lo = fnv1a(0xaf63_bd4c_8601_b7df, canon.as_bytes());
-    Fingerprint((u128::from(hi) << 64) | u128::from(lo))
-}
-
 // ------------------------------------------------------------ observability
 
 /// Point-in-time cache gauges and counters, exported by `repro`'s stderr
@@ -480,16 +463,6 @@ impl ResultCache {
         }
     }
 
-    /// Counts one miss. [`get`](ResultCache::get) deliberately counts
-    /// hits only; a caller that answers a failed lookup by computing the
-    /// row itself (the lockstep batch runner) reports the miss here so
-    /// the hit/miss ledger stays path-independent. No-op when disabled.
-    pub fn record_miss(&self) {
-        if self.is_enabled() {
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// The single-flight memoised compute: a hit returns immediately;
     /// otherwise one caller per fingerprint computes while identical
     /// concurrent callers wait for its result. Counts hits, misses, and
@@ -499,31 +472,11 @@ impl ResultCache {
         fp: Fingerprint,
         compute: impl Fn() -> Measurement,
     ) -> Arc<Measurement> {
-        self.get_or_compute_impl(fp, &compute, true)
-    }
-
-    /// [`get_or_compute`](ResultCache::get_or_compute) without touching
-    /// the hit/miss counters — for callers (the serve scheduler) that
-    /// already accounted for the outcome at claim time.
-    pub fn get_or_compute_quiet(
-        &self,
-        fp: Fingerprint,
-        compute: impl Fn() -> Measurement,
-    ) -> Arc<Measurement> {
-        self.get_or_compute_impl(fp, &compute, false)
-    }
-
-    fn get_or_compute_impl(
-        &self,
-        fp: Fingerprint,
-        compute: &dyn Fn() -> Measurement,
-        count: bool,
-    ) -> Arc<Measurement> {
         if !self.is_enabled() {
             return Arc::new(compute());
         }
         loop {
-            if let Some(m) = self.lookup(fp, count) {
+            if let Some(m) = self.lookup(fp, true) {
                 return m;
             }
             let (flight, leader) = {
@@ -538,9 +491,7 @@ impl ResultCache {
                 }
             };
             if leader {
-                if count {
-                    self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                }
+                self.inner.misses.fetch_add(1, Ordering::Relaxed);
                 // Abort the flight if `compute` unwinds, so followers
                 // retry instead of parking forever.
                 let guard = FlightGuard { cache: self, fp: fp.0, flight: &flight };
@@ -549,9 +500,7 @@ impl ResultCache {
                 guard.complete(m.clone());
                 return m;
             }
-            if count {
-                self.inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
+            self.inner.coalesced.fetch_add(1, Ordering::Relaxed);
             match flight.wait() {
                 Some(m) => return m,
                 // Leader aborted: go round again (retrying as leader).

@@ -16,13 +16,10 @@
 //!   them);
 //! * [`cache`] — content-addressed memoisation of sweep-point
 //!   measurements (memory + optional disk tier, single-flight dedup);
-//! * [`lockstep`] — batched execution engine advancing K sweep points
-//!   of one topology through a single devirtualised instruction stream
-//!   ([`batch::run_grid`] plans grids onto it automatically);
 //! * [`metrics`] — workspace-wide metric registry (atomic counters,
 //!   gauges, power-of-two histograms) with Prometheus text exposition;
 //! * [`profile`] — sampled kernel phase profiler attributing cycle-loop
-//!   wall time to gens/fabric/MC/horizon/queue/reconcile phases (see
+//!   wall time to gens/fabric/MC/horizon/queue phases (see
 //!   `repro profile`);
 //! * [`report`] — plain-text table and JSON rendering;
 //! * [`probe`] — windowed time-series sampling of a running system;
@@ -54,7 +51,6 @@ pub mod cache;
 pub mod estimate;
 pub mod experiment;
 pub mod export;
-pub mod lockstep;
 pub mod measure;
 pub mod metrics;
 pub mod probe;
@@ -71,10 +67,7 @@ pub mod prelude {
     pub use hbm_traffic::{Pattern, RwRatio, Workload};
 }
 
-pub use cache::{
-    fingerprint, topology_key, CacheSnapshot, Fingerprint, ResultCache, SIM_KERNEL_VERSION,
-};
-pub use lockstep::{batches_built, measure_batch, BatchedSystem};
+pub use cache::{fingerprint, CacheSnapshot, Fingerprint, ResultCache, SIM_KERNEL_VERSION};
 pub use measure::{measure, Measurement};
 pub use metrics::Registry;
 pub use probe::{Probe, ProbeConfig, Snapshot};

@@ -171,17 +171,11 @@ fn queue_hwm_metrics() -> &'static QueueHwmMetrics {
 /// labeled gauges. Costs one relaxed load when metrics are off; when on,
 /// it walks the queues once — strictly outside the cycle loop.
 pub fn record_queue_hwms(sys: &HbmSystem) {
-    record_queue_hwms_with(|visit| sys.for_each_queue_hwm(visit));
-}
-
-/// [`record_queue_hwms`] over any queue walker — the batched path hands
-/// in its own lane-set visitor.
-pub(crate) fn record_queue_hwms_with(walk: impl FnOnce(&mut dyn FnMut(&'static str, usize))) {
     if !metrics::enabled() {
         return;
     }
     let mut peaks = [0usize; 7];
-    walk(&mut |family, hwm| {
+    sys.for_each_queue_hwm(&mut |family, hwm| {
         let i = HWM_FAMILIES.iter().position(|f| *f == family);
         if let Some(i) = i {
             peaks[i] = peaks[i].max(hwm);
@@ -210,7 +204,7 @@ fn as_pct(fraction: f64) -> u64 {
 /// channels) DRAM bus-time counters back to a per-PCH percentage. No-op
 /// unless metrics are enabled — the simulation itself never pays for
 /// this, it runs once per measurement window.
-pub(crate) fn record_run_metrics(m: &Measurement, num_pch: usize) {
+fn record_run_metrics(m: &Measurement, num_pch: usize) {
     if !metrics::enabled() {
         return;
     }

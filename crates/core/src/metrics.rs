@@ -1,6 +1,6 @@
 //! Workspace-wide metrics registry with Prometheus text exposition.
 //!
-//! Every layer of the stack — the result cache, the batch planner, the
+//! Every layer of the stack — the result cache, the adaptive sweeps, the
 //! serve scheduler, the kernel phase profiler — publishes its telemetry
 //! through this one registry so any two views of the same quantity are
 //! reads of the *same atomic* and can never disagree. Three primitive
@@ -251,7 +251,7 @@ impl Registry {
     }
 
     /// The process-wide registry. First use installs the built-in
-    /// collector series (result cache, batch planner, kernel phases) so
+    /// collector series (result cache, adaptive sweeps, kernel phases) so
     /// an exposition is complete even before any activity.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -515,7 +515,7 @@ fn render_hist(out: &mut String, name: &str, labels: &[(String, String)], h: &Hi
 /// Installs the collector-backed series every process exposes: the
 /// result cache (reading [`crate::cache::ResultCache::global`]'s own
 /// atomics — the exposition and the `cache` verb can never disagree),
-/// the batch planner's constructor counter, and the kernel phase
+/// the adaptive-sweep and run-occupancy series, and the kernel phase
 /// counters (zero until a profiled run publishes).
 fn install_builtin(reg: &Registry) {
     reg.counter_fn(
@@ -551,14 +551,7 @@ fn install_builtin(reg: &Registry) {
     reg.gauge_fn("hbm_cache_enabled", "Whether the result cache is active (0/1)", &[], || {
         i64::from(crate::cache::ResultCache::global().is_enabled())
     });
-    reg.counter_fn(
-        "hbm_batch_batches_built_total",
-        "Lockstep BatchedSystem constructions",
-        &[],
-        || crate::lockstep::batches_built() as u64,
-    );
     crate::profile::install_phase_series(reg);
-    crate::batch::install_planner_series(reg);
     crate::batch::install_adaptive_series(reg);
     crate::measure::install_run_series(reg);
 }

@@ -1,10 +1,8 @@
 //! Sampled kernel phase profiler: wall-time attribution of the cycle
 //! loop.
 //!
-//! The roadmap's "lockstep batching is queue-op-bound" diagnosis was
-//! made with out-of-tree profiling; this module makes it a reproducible
-//! in-tree artifact. A profiled run attributes *every* nanosecond of the
-//! kernel loop to one of six phases:
+//! A profiled run attributes *every* nanosecond of the kernel loop to one
+//! of five phases:
 //!
 //! | phase | what it covers |
 //! |---|---|
@@ -12,8 +10,7 @@
 //! | `fabric_tick` | interconnect flit movement (step phase 2) |
 //! | `mc_tick` | controller+DRAM timing advance (step phase 3, tick half) |
 //! | `queue_ops` | port peek/pop/accept, stuck-completion retry, master completion drain (step phases 3+4, queue half) |
-//! | `horizon_compute` | `next_event` scans, pacer bookkeeping, and loop control |
-//! | `lockstep_reconcile` | cross-lane min-horizon folds, lane realignment, shard boundary reconcile |
+//! | `horizon_compute` | wake/horizon folds, lateral-boundary reconcile, and loop control |
 //!
 //! ## Mechanism: telescoping laps
 //!
@@ -30,11 +27,12 @@
 //!
 //! ## Cost contract
 //!
-//! The kernel checks [`active`] **once per `step`/span entry** (one
-//! thread-local read) and passes the result down as a register bool, so
-//! an unprofiled run pays a handful of never-taken branches per cycle —
-//! the same budget as the PR 2 tracer's `Option` checks — and a profiled
-//! run pays ~2 `Instant::now()` calls per port per cycle. That observer
+//! The kernel checks [`active`] **once per run** (one thread-local read)
+//! and passes the result down as a register bool, so an unprofiled run
+//! pays a handful of never-taken branches per cycle and a profiled run
+//! pays one `Instant::now()` per component pass: the source pass, the
+//! fabric tick, two per *visited* port (skipped ports lap nothing), the
+//! completion drain, and each horizon fold. That observer
 //! overhead is real (reported as `observer_overhead_pct` by
 //! `repro profile`, budget in DESIGN.md §3.7); attribution *fractions*
 //! remain honest because stamp cost is spread across adjacent phases.
@@ -43,8 +41,9 @@
 //! (enforced by `tests/telemetry_equivalence.rs`).
 //!
 //! Profiling is per-thread: [`begin`]/[`end`] must bracket a run on the
-//! *same* thread (`measure` and `measure_batch` run on the caller's
-//! thread, so `repro profile` just wraps them).
+//! *same* thread (`measure` runs on the caller's thread, so `repro
+//! profile` just wraps it). Execution domains advanced on worker threads
+//! lap nothing; their time lands in the caller's `horizon_compute`.
 
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
@@ -55,7 +54,7 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::{Counter, Registry};
 use std::sync::Arc;
 
-/// The six attribution phases, in table order.
+/// The five attribution phases, in table order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
     /// Master poll/offer (step phase 1).
@@ -64,26 +63,18 @@ pub enum Phase {
     FabricTick,
     /// Controller + DRAM timing advance (step phase 3, tick half).
     McTick,
-    /// `next_event` scans, pacer bookkeeping, loop control.
+    /// Wake/horizon folds, lateral-boundary reconcile, loop control.
     HorizonCompute,
     /// Port peek/pop/accept, stuck retries, completion drains.
     QueueOps,
-    /// Cross-lane min-horizon folds, realignment, boundary reconcile.
-    LockstepReconcile,
 }
 
 /// Number of phases.
-pub const NUM_PHASES: usize = 6;
+pub const NUM_PHASES: usize = 5;
 
 /// All phases, in display order.
-pub const PHASES: [Phase; NUM_PHASES] = [
-    Phase::GensTick,
-    Phase::FabricTick,
-    Phase::McTick,
-    Phase::HorizonCompute,
-    Phase::QueueOps,
-    Phase::LockstepReconcile,
-];
+pub const PHASES: [Phase; NUM_PHASES] =
+    [Phase::GensTick, Phase::FabricTick, Phase::McTick, Phase::HorizonCompute, Phase::QueueOps];
 
 impl Phase {
     /// The snake_case phase name used in tables, JSON, and metric labels.
@@ -94,27 +85,23 @@ impl Phase {
             Phase::McTick => "mc_tick",
             Phase::HorizonCompute => "horizon_compute",
             Phase::QueueOps => "queue_ops",
-            Phase::LockstepReconcile => "lockstep_reconcile",
         }
     }
 }
 
 /// Which kernel a profiled run exercised (a metric label and report
-/// field; the phases are shared).
+/// field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Kernel {
-    /// The monolithic scalar kernel (`HbmSystem::step`/`run_span`).
+    /// The cycle kernel behind `HbmSystem::run` and `measure`.
     Scalar,
-    /// The lockstep batched kernel (`hbm_core::lockstep`).
-    Lockstep,
 }
 
 impl Kernel {
-    /// Label value: `"scalar"` or `"lockstep"`.
+    /// Label value: `"scalar"`.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Lockstep => "lockstep",
         }
     }
 }
@@ -259,24 +246,20 @@ impl PhaseReport {
             return;
         }
         let handles = phase_counters();
-        let base = match self.kernel {
-            Kernel::Scalar => 0,
-            Kernel::Lockstep => NUM_PHASES,
-        };
         for p in PHASES {
-            handles.phase[base + p as usize].add(self.ns(p));
+            handles.phase[p as usize].add(self.ns(p));
         }
-        handles.runs[base / NUM_PHASES].inc();
+        handles.runs.inc();
     }
 }
 
 // ------------------------------------------------------- metric handles
 
 struct PhaseCounters {
-    /// `[scalar × 6, lockstep × 6]` in [`PHASES`] order.
+    /// One per phase, in [`PHASES`] order.
     phase: Vec<Arc<Counter>>,
-    /// Profiled-run counts, `[scalar, lockstep]`.
-    runs: [Arc<Counter>; 2],
+    /// Profiled-run count.
+    runs: Arc<Counter>,
 }
 
 fn phase_counters() -> &'static PhaseCounters {
@@ -285,28 +268,22 @@ fn phase_counters() -> &'static PhaseCounters {
 }
 
 fn build_phase_counters(reg: &Registry) -> PhaseCounters {
-    let mut phase = Vec::with_capacity(2 * NUM_PHASES);
-    for kernel in [Kernel::Scalar, Kernel::Lockstep] {
-        for p in PHASES {
-            phase.push(reg.counter(
+    let kernel = Kernel::Scalar.name();
+    let phase = PHASES
+        .iter()
+        .map(|p| {
+            reg.counter(
                 "hbm_kernel_phase_ns_total",
                 "Profiled kernel wall time attributed per phase, in ns",
-                &[("kernel", kernel.name()), ("phase", p.name())],
-            ));
-        }
-    }
-    let runs = [
-        reg.counter(
-            "hbm_kernel_profile_runs_total",
-            "Completed phase-profiler windows",
-            &[("kernel", "scalar")],
-        ),
-        reg.counter(
-            "hbm_kernel_profile_runs_total",
-            "Completed phase-profiler windows",
-            &[("kernel", "lockstep")],
-        ),
-    ];
+                &[("kernel", kernel), ("phase", p.name())],
+            )
+        })
+        .collect();
+    let runs = reg.counter(
+        "hbm_kernel_profile_runs_total",
+        "Completed phase-profiler windows",
+        &[("kernel", kernel)],
+    );
     PhaseCounters { phase, runs }
 }
 
@@ -350,13 +327,13 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        begin(Kernel::Lockstep);
-        lap(Phase::LockstepReconcile);
+        begin(Kernel::Scalar);
+        lap(Phase::McTick);
         std::thread::sleep(std::time::Duration::from_millis(1));
         let r = end();
         let total: f64 = PHASES.iter().map(|&p| r.fraction(p)).sum();
         assert!((total - 1.0).abs() < 1e-12, "{total}");
-        assert_eq!(r.kernel, Kernel::Lockstep);
+        assert_eq!(r.kernel, Kernel::Scalar);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The assembled HBM system and its cycle-driven simulation loop.
 
-use hbm_axi::{ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Tracer};
+use hbm_axi::{
+    ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Tracer, Transaction,
+};
 use hbm_fabric::{
-    DirectFabric, FabricConfig, FabricStats, FullCrossbarFabric, Interconnect, ShardLayout,
-    SwitchShard, XilinxFabric,
+    DirectFabric, FabricConfig, FabricStats, FullCrossbarFabric, Interconnect, Retry, SwitchShard,
+    XilinxFabric,
 };
 use hbm_mao::{MaoConfig, MaoFabric};
 use hbm_mem::{BankPool, BanksViewMut, HbmConfig, MemStats, MemoryController};
@@ -104,54 +106,29 @@ impl SystemConfig {
         fc
     }
 
-    /// Concrete Xilinx fabric for this configuration. Panics unless
-    /// [`fabric`](SystemConfig::fabric) is a Xilinx variant. The batched
-    /// engine (`lockstep`) builds lanes from these monomorphic
-    /// constructors so its cycle kernel carries no virtual dispatch;
-    /// [`build_fabric`](SystemConfig::build_fabric) delegates here so
-    /// both paths assemble byte-identical fabrics.
-    pub(crate) fn build_xilinx(&self) -> XilinxFabric {
-        let mut fc = self.xilinx_fabric_config();
+    fn build_fabric(&self) -> Box<dyn Interconnect> {
         match &self.fabric {
-            FabricKind::Xilinx => {}
+            FabricKind::Xilinx => Box::new(XilinxFabric::new(self.xilinx_fabric_config())),
             FabricKind::XilinxTweaked(t) => {
+                let mut fc = self.xilinx_fabric_config();
                 fc.lateral_buses = t.lateral_buses;
                 fc.lateral_rate = t.lateral_rate;
                 fc.dead_beats = t.dead_beats;
+                Box::new(XilinxFabric::new(fc))
             }
-            other => panic!("not a Xilinx fabric configuration: {other:?}"),
-        }
-        XilinxFabric::new(fc)
-    }
-
-    /// Concrete MAO fabric for this configuration (panics otherwise).
-    pub(crate) fn build_mao(&self) -> MaoFabric {
-        let FabricKind::Mao(mc) = &self.fabric else {
-            panic!("not a MAO fabric configuration: {:?}", self.fabric)
-        };
-        let mut mc = *mc;
-        mc.num_ports = self.hbm.num_pch;
-        mc.num_masters = self.hbm.num_pch;
-        mc.port_capacity = self.hbm.pch_capacity;
-        MaoFabric::new(mc)
-    }
-
-    /// Concrete monolithic-crossbar fabric for this configuration.
-    pub(crate) fn build_fullxbar(&self) -> FullCrossbarFabric {
-        FullCrossbarFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 6, 8)
-    }
-
-    /// Concrete direct 1:1 fabric for this configuration.
-    pub(crate) fn build_direct(&self) -> DirectFabric {
-        DirectFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 4, 8)
-    }
-
-    fn build_fabric(&self) -> Box<dyn Interconnect> {
-        match &self.fabric {
-            FabricKind::Xilinx | FabricKind::XilinxTweaked(_) => Box::new(self.build_xilinx()),
-            FabricKind::Mao(_) => Box::new(self.build_mao()),
-            FabricKind::FullCrossbar => Box::new(self.build_fullxbar()),
-            FabricKind::Direct => Box::new(self.build_direct()),
+            FabricKind::Mao(mc) => {
+                let mut mc = *mc;
+                mc.num_ports = self.hbm.num_pch;
+                mc.num_masters = self.hbm.num_pch;
+                mc.port_capacity = self.hbm.pch_capacity;
+                Box::new(MaoFabric::new(mc))
+            }
+            FabricKind::FullCrossbar => {
+                Box::new(FullCrossbarFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 6, 8))
+            }
+            FabricKind::Direct => {
+                Box::new(DirectFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 4, 8))
+            }
         }
     }
 }
@@ -161,11 +138,18 @@ impl SystemConfig {
 /// (see the `hbm-accel` crate).
 ///
 /// Contract per cycle: the system calls [`poll`](TrafficSource::poll)
-/// once; if the returned transaction is accepted by the interconnect it
-/// calls [`accepted`](TrafficSource::accepted), otherwise the source
-/// must return the *same* transaction on the next poll (head-of-line
-/// retry). Delivered completions arrive via
+/// at most once; if the returned transaction is accepted by the
+/// interconnect it calls [`accepted`](TrafficSource::accepted),
+/// otherwise the source must return the *same* transaction on the next
+/// poll (head-of-line retry). Delivered completions arrive via
 /// [`completed`](TrafficSource::completed).
+///
+/// The wake-driven kernel (DESIGN.md §3.12) skips polls it can prove
+/// idle: after a `poll` that returned nothing it sleeps until
+/// [`next_event`](TrafficSource::next_event) or a completion, and after
+/// a rejected offer until the fabric's retry hint or a completion. A
+/// `poll` that returns nothing, or that repeats a rejected transaction,
+/// must therefore be free of side effects.
 ///
 /// Sources must be [`Send`]: under [`RunPolicy::Parallel`] each
 /// execution domain — including its traffic sources — may be advanced
@@ -264,18 +248,19 @@ impl TrafficSource for BmTrafficGen {
 }
 
 /// How [`HbmSystem::run`] and [`HbmSystem::run_until_drained`] execute
-/// the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// the simulation. Both produce bit-identical state at every cycle
+/// boundary (the `fastpath_equivalence`, `parallel_equivalence` and
+/// `wake_equivalence` tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunPolicy {
-    /// Single-threaded lock-step stepping — the reference semantics.
-    #[default]
+    /// The reference: the whole system stepped cycle by cycle through
+    /// [`HbmSystem::step`], skipping only cycles in which nothing at all
+    /// can happen. The equivalence suites compare against it.
     Sequential,
-    /// Advance per-switch execution domains concurrently on up to
-    /// `jobs` OS threads between lateral-synchronisation barriers.
-    /// Bit-identical to [`Sequential`](RunPolicy::Sequential) by
-    /// construction (DESIGN.md §3.3; enforced by the
-    /// `parallel_equivalence` property tests). Falls back to the
-    /// sequential path on fabrics without a shard decomposition.
+    /// The wake-driven kernel (DESIGN.md §3.12). A sharded fabric runs
+    /// as per-switch execution domains between lateral-synchronisation
+    /// barriers (DESIGN.md §3.3), on up to `jobs` OS threads; a
+    /// monolithic fabric runs as one domain. The default, at one job.
     Parallel {
         /// Worker-thread budget; clamped to at least 1. Windows too
         /// narrow to amortise a thread spawn are advanced inline
@@ -284,18 +269,24 @@ pub enum RunPolicy {
     },
 }
 
-/// Amortizes [`HbmSystem::next_event`] over saturated stretches.
+impl Default for RunPolicy {
+    fn default() -> RunPolicy {
+        RunPolicy::Parallel { jobs: 1 }
+    }
+}
+
+/// Amortises a domain's horizon over busy stretches.
 ///
-/// Consulting the horizon costs a scan of every component, which is
-/// wasted work while the system is busy every cycle. After each step the
-/// horizon *confirmed*, the pacer grants an exponentially growing number
-/// of "blind" steps (capped) before the next consultation. Blind steps
-/// are ordinary [`HbmSystem::step`] calls — exactly what naive stepping
-/// would do — so the heuristic cannot affect simulated behaviour; at
-/// worst it executes up to [`Pacer::MAX_CREDIT`] no-op cycles of an idle
-/// gap before the next horizon check skips the rest.
-#[derive(Default)]
-pub(crate) struct Pacer {
+/// Folding the horizon scans every wake in the domain, which is wasted
+/// work while something is due every cycle. After each step the horizon
+/// *confirmed*, the pacer grants an exponentially growing number of
+/// "blind" steps (capped) before the next consultation. A blind step is
+/// an ordinary [`Domain::step`], which visits only the components whose
+/// wake has come, so it cannot change simulated behaviour; at worst it
+/// spends up to [`Pacer::MAX_CREDIT`] cheap no-op cycles of an idle gap
+/// before the next horizon skips the rest.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pacer {
     credit: u32,
     burst: u32,
 }
@@ -304,7 +295,7 @@ impl Pacer {
     const MAX_CREDIT: u32 = 64;
 
     /// Consumes one blind-step credit if available.
-    pub(crate) fn take_credit(&mut self) -> bool {
+    fn take_credit(&mut self) -> bool {
         if self.credit > 0 {
             self.credit -= 1;
             true
@@ -314,13 +305,13 @@ impl Pacer {
     }
 
     /// The horizon confirmed an immediate event: grow the blind burst.
-    pub(crate) fn stepped(&mut self) {
+    fn stepped(&mut self) {
         self.burst = (self.burst * 2).clamp(1, Self::MAX_CREDIT);
         self.credit = self.burst;
     }
 
     /// The horizon skipped ahead: traffic is sparse, re-check every step.
-    pub(crate) fn skipped(&mut self) {
+    fn skipped(&mut self) {
         self.burst = 0;
         self.credit = 0;
     }
@@ -341,6 +332,13 @@ pub struct HbmSystem {
     /// Completions produced by a controller that could not yet enter the
     /// return network (per port).
     stuck: Vec<Option<Completion>>,
+    /// Per source: the first cycle the wake-driven kernel polls it again.
+    source_wake: Vec<Cycle>,
+    /// Per source: ID-ordering stall retries the kernel skipped.
+    stalls: Vec<StallCredit>,
+    /// Per port: the first cycle the wake-driven kernel must visit it
+    /// even without a request waiting or a completion stuck.
+    port_wake: Vec<Cycle>,
     now: Cycle,
     /// Lifecycle tracer, when tracing is enabled (see
     /// [`enable_tracing`](HbmSystem::enable_tracing)). `None` keeps every
@@ -402,6 +400,9 @@ impl HbmSystem {
             .collect();
         HbmSystem {
             stuck: vec![None; n],
+            source_wake: vec![0; n],
+            stalls: vec![StallCredit::default(); n],
+            port_wake: vec![0; n],
             gens: sources,
             fabric,
             mcs,
@@ -410,7 +411,7 @@ impl HbmSystem {
             cfg: cfg.clone(),
             tracer: None,
             probe: None,
-            policy: RunPolicy::Sequential,
+            policy: RunPolicy::default(),
         }
     }
 
@@ -424,17 +425,6 @@ impl HbmSystem {
     /// The active execution policy.
     pub fn run_policy(&self) -> RunPolicy {
         self.policy
-    }
-
-    /// The worker count when the active policy can actually conduct
-    /// this system's fabric in parallel (`None` → sequential path).
-    fn conducted_jobs(&self) -> Option<usize> {
-        match self.policy {
-            RunPolicy::Parallel { jobs } if self.fabric.shard_layout().is_some() => {
-                Some(jobs.max(1))
-            }
-            _ => None,
-        }
     }
 
     /// The configured accelerator clock.
@@ -518,7 +508,8 @@ impl HbmSystem {
         self.now
     }
 
-    /// Advances the system by one cycle.
+    /// Advances the system by one cycle — the reference step: every
+    /// component is visited, whether or not it can act.
     pub fn step(&mut self) {
         self.step_prof(profile::active());
     }
@@ -640,15 +631,16 @@ impl HbmSystem {
         best
     }
 
-    /// Runs for `cycles` cycles, fast-forwarding over provably idle gaps.
-    /// With a probe attached, the span is split at sampling boundaries;
-    /// the stepped cycles (and hence all statistics) are identical either
-    /// way, because `run_span(a); run_span(b)` ≡ `run_span(a + b)` — the
-    /// fast-forward clamps to the deadline and re-derives the same
-    /// horizon on re-entry.
+    /// Runs for `cycles` cycles, fast-forwarding over provably idle gaps
+    /// (the wake-driven kernel under the default policy, the reference
+    /// step under [`RunPolicy::Sequential`]). With a probe attached, the
+    /// span is split at sampling boundaries; the stepped cycles (and
+    /// hence all statistics) are identical either way, because every
+    /// skip clamps to the span's end and re-derives the same horizon on
+    /// re-entry.
     pub fn run(&mut self, cycles: Cycle) {
-        if let Some(jobs) = self.conducted_jobs() {
-            self.conduct(cycles, jobs, false);
+        if let RunPolicy::Parallel { jobs } = self.policy {
+            self.conduct(cycles, jobs.max(1), false);
             return;
         }
         if self.probe.is_none() {
@@ -669,33 +661,20 @@ impl HbmSystem {
         self.sample_probe_final();
     }
 
-    /// The un-probed span loop behind [`run`](HbmSystem::run).
+    /// The un-probed reference span loop behind [`run`](HbmSystem::run)
+    /// under [`RunPolicy::Sequential`].
     fn run_span(&mut self, cycles: Cycle) {
         let prof = profile::active();
         let deadline = self.now.saturating_add(cycles);
-        let mut pacer = Pacer::default();
         while self.now < deadline {
-            if pacer.take_credit() {
-                self.step_prof(prof);
-                continue;
-            }
             let ev = self.next_event();
             if prof {
                 profile::lap(profile::Phase::HorizonCompute);
             }
             match ev {
-                Some(t) if t <= self.now => {
-                    self.step_prof(prof);
-                    pacer.stepped();
-                }
-                Some(t) => {
-                    self.now = t.min(deadline);
-                    pacer.skipped();
-                }
-                None => {
-                    self.now = deadline;
-                    pacer.skipped();
-                }
+                Some(t) if t <= self.now => self.step_prof(prof),
+                Some(t) => self.now = t.min(deadline),
+                None => self.now = deadline,
             }
         }
     }
@@ -709,8 +688,8 @@ impl HbmSystem {
     /// With a probe attached the span is split at sampling boundaries,
     /// exactly like [`run`](HbmSystem::run).
     pub fn run_until_drained(&mut self, max_cycles: Cycle) -> bool {
-        if let Some(jobs) = self.conducted_jobs() {
-            return self.conduct(max_cycles, jobs, true);
+        if let RunPolicy::Parallel { jobs } = self.policy {
+            return self.conduct(max_cycles, jobs.max(1), true);
         }
         if self.probe.is_none() {
             return self.drain_span(max_cycles);
@@ -736,12 +715,12 @@ impl HbmSystem {
         drained
     }
 
-    /// The un-probed drain loop behind
-    /// [`run_until_drained`](HbmSystem::run_until_drained).
+    /// The un-probed reference drain loop behind
+    /// [`run_until_drained`](HbmSystem::run_until_drained) under
+    /// [`RunPolicy::Sequential`].
     fn drain_span(&mut self, max_cycles: Cycle) -> bool {
         let prof = profile::active();
         let deadline = self.now.saturating_add(max_cycles);
-        let mut pacer = Pacer::default();
         loop {
             if self.drained() {
                 return true;
@@ -749,71 +728,67 @@ impl HbmSystem {
             if self.now >= deadline {
                 return false;
             }
-            if pacer.take_credit() {
-                self.step_prof(prof);
-                continue;
-            }
             let ev = self.next_event();
             if prof {
                 profile::lap(profile::Phase::HorizonCompute);
             }
             match ev {
-                Some(t) if t <= self.now => {
-                    self.step_prof(prof);
-                    pacer.stepped();
-                }
-                Some(t) => {
-                    self.now = t.min(deadline);
-                    pacer.skipped();
-                }
-                None => {
-                    self.now = deadline;
-                    pacer.skipped();
-                }
+                Some(t) if t <= self.now => self.step_prof(prof),
+                Some(t) => self.now = t.min(deadline),
+                None => self.now = deadline,
             }
         }
     }
 
-    /// The sharded execution path behind [`run`](HbmSystem::run) and
+    /// The wake-driven kernel behind [`run`](HbmSystem::run) and
     /// [`run_until_drained`](HbmSystem::run_until_drained) under
-    /// [`RunPolicy::Parallel`].
+    /// [`RunPolicy::Parallel`] (DESIGN.md §3.3, §3.12).
     ///
     /// Work proceeds in *supersteps*: each iteration picks a barrier
     /// cycle `W` no farther than the fabric's lateral-synchronisation
-    /// lag past the earliest component horizon (clamped to the deadline
+    /// lag past the earliest component wake (clamped to the deadline
     /// and the next probe boundary), advances every execution domain
     /// independently over `[now, W)`, reconciles the lateral boundaries,
     /// and jumps `now` to `W`. The lateral-port contract — data *and*
     /// credits delayed by at least `sync_lag` cycles — guarantees no
     /// domain can observe another's in-window state changes before `W`,
     /// so any interleaving (including concurrent execution) replays the
-    /// sequential schedule bit-for-bit (DESIGN.md §3.3).
+    /// reference schedule bit-for-bit.
     ///
-    /// When every source is port-affine and each shard owns its own
-    /// masters' ports end-to-end, no flit can ever cross a lateral bus;
-    /// the horizon clamp is then dropped entirely and domains sprint
-    /// straight to the deadline on independent threads.
+    /// A monolithic fabric is one domain with no lateral boundary, and
+    /// so is a sharded one whose traffic can never cross a lateral bus
+    /// (every source port-affine, each shard owning its own masters'
+    /// ports end-to-end): there the horizon clamp is dropped and domains
+    /// sprint straight to the deadline.
     fn conduct(&mut self, budget: Cycle, jobs: usize, drain: bool) -> bool {
-        let layout = self.fabric.shard_layout().expect("conduct requires a sharded fabric");
+        // Wakes are only kept by this kernel; anything else (the
+        // reference step, a policy switch) may have moved state since.
+        self.source_wake.fill(0);
+        self.port_wake.fill(0);
+        let prof = profile::active();
+        let layout = self.fabric.shard_layout();
         // Anti-hang guard only: `validate()` rejects hop latencies < 1.
-        let lag = layout.sync_lag.max(1);
+        let lag = layout.map_or(1, |l| l.sync_lag.max(1));
         let deadline = self.now.saturating_add(budget);
-        let lateral_free = layout.masters_per_shard == layout.ports_per_shard
-            && self.gens.iter().all(|g| g.port_affine());
-        let mut last_step: Vec<Option<Cycle>> = vec![None; layout.shards];
+        let lateral_free = layout.is_none_or(|l| {
+            l.masters_per_shard == l.ports_per_shard && self.gens.iter().all(|g| g.port_affine())
+        });
+        let domains = layout.map_or(1, |l| l.shards);
+        let mut last_step: Vec<Option<Cycle>> = vec![None; domains];
+        let mut pacers = vec![Pacer::default(); domains];
         loop {
             if drain && self.drained() {
-                // The sequential drain loop stops one cycle past its
+                // The reference drain loop stops one cycle past its
                 // last executed step; windows may have carried `now`
                 // beyond that, so roll back to the equivalent cycle.
                 if let Some(t) = last_step.iter().filter_map(|s| *s).max() {
                     self.now = t + 1;
                 }
-                self.sample_probe_final();
+                self.end_conduct();
                 return true;
             }
             if self.now >= deadline {
-                self.sample_probe_final();
+                self.end_conduct();
                 return !drain;
             }
             let mut cap = deadline;
@@ -825,18 +800,43 @@ impl HbmSystem {
                 }
                 cap = cap.min(next);
             }
-            let barrier = match self.next_event() {
+            let barrier = match self.wake_horizon() {
                 None => cap,
                 Some(_) if lateral_free => cap,
                 Some(t) => t.max(self.now).saturating_add(lag).min(cap),
             };
-            self.advance_domains(barrier, jobs, &mut last_step, &layout);
-            self.fabric
-                .as_sharded_mut()
-                .expect("shard_layout() promised a sharded view")
-                .reconcile();
+            self.advance_domains(barrier, jobs, drain, prof, &mut last_step, &mut pacers);
+            if let Some(sharded) = self.fabric.as_sharded_mut() {
+                if sharded.pending_reconcile() {
+                    sharded.reconcile();
+                }
+            }
+            if prof {
+                profile::lap(profile::Phase::HorizonCompute);
+            }
             self.now = barrier;
         }
+    }
+
+    /// Closes a conducted run: the ID-stall retries skipped up to `now`
+    /// are owed to the fabric's stall count, so statistics read (or
+    /// reset) between runs are exact, whatever runs next.
+    fn end_conduct(&mut self) {
+        for stall in &mut self.stalls {
+            stall.settle(self.now);
+        }
+        self.sample_probe_final();
+    }
+
+    /// The earliest wake of any source, port or fabric component — a
+    /// lower bound on the next cycle anything can happen (`None`:
+    /// nothing will without external input). Cheap: the wakes are kept,
+    /// not recomputed.
+    fn wake_horizon(&self) -> Option<Cycle> {
+        let now = self.now;
+        let kept = self.source_wake.iter().chain(&self.port_wake).copied().min();
+        let t = self.fabric.next_event(now).into_iter().chain(kept).min()?;
+        (t != Cycle::MAX).then(|| t.max(now))
     }
 
     /// Advances every execution domain independently over
@@ -846,50 +846,81 @@ impl HbmSystem {
         &mut self,
         to: Cycle,
         jobs: usize,
+        drain: bool,
+        prof: bool,
         last_step: &mut [Option<Cycle>],
-        layout: &ShardLayout,
+        pacers: &mut [Pacer],
     ) {
         /// Below this window width a scoped-thread spawn costs more
         /// than it buys; domains are advanced inline instead.
         const SPAWN_THRESHOLD: Cycle = 64;
         let from = self.now;
         let tracer = self.tracer.as_ref();
+        let Some(layout) = self.fabric.shard_layout() else {
+            let mut whole = Domain {
+                fabric: &mut *self.fabric,
+                gens: &mut self.gens,
+                source_wake: &mut self.source_wake,
+                stalls: &mut self.stalls,
+                mcs: &mut self.mcs,
+                port_wake: &mut self.port_wake,
+                banks: self.banks.view_mut(),
+                stuck: &mut self.stuck,
+                tracer,
+                last: &mut last_step[0],
+                pacer: &mut pacers[0],
+            };
+            whole.advance(from, to, drain, prof);
+            return;
+        };
+        let (mps, pps) = (layout.masters_per_shard, layout.ports_per_shard);
         let shards = self
             .fabric
             .as_sharded_mut()
             .expect("shard_layout() promised a sharded view")
             .shards_mut();
-        let mut domains: Vec<Domain<'_>> = shards
-            .iter_mut()
-            .zip(self.gens.chunks_mut(layout.masters_per_shard))
-            .zip(self.mcs.chunks_mut(layout.ports_per_shard))
-            .zip(self.banks.view_mut().chunks_mut(layout.ports_per_shard))
-            .zip(self.stuck.chunks_mut(layout.ports_per_shard))
-            .zip(last_step.iter_mut())
-            .map(|(((((shard, gens), mcs), banks), stuck), last)| Domain {
-                shard,
-                gens,
-                mcs,
-                banks,
-                stuck,
-                tracer,
-                last,
-            })
-            .collect();
-        if jobs > 1 && domains.len() > 1 && to - from >= SPAWN_THRESHOLD {
+        let sources = self.gens.chunks_mut(mps).zip(self.source_wake.chunks_mut(mps));
+        let sources = sources.zip(self.stalls.chunks_mut(mps));
+        let ports = self.mcs.chunks_mut(pps).zip(self.port_wake.chunks_mut(pps));
+        let memory = self.banks.view_mut().chunks_mut(pps).zip(self.stuck.chunks_mut(pps));
+        let progress = last_step.iter_mut().zip(pacers);
+        let domains = shards.iter_mut().zip(sources).zip(ports).zip(memory).zip(progress).map(
+            |(
+                (((fabric, ((gens, source_wake), stalls)), (mcs, port_wake)), (banks, stuck)),
+                (last, pacer),
+            )| {
+                Domain {
+                    fabric,
+                    gens,
+                    source_wake,
+                    stalls,
+                    mcs,
+                    port_wake,
+                    banks,
+                    stuck,
+                    tracer,
+                    last,
+                    pacer,
+                }
+            },
+        );
+        if jobs > 1 && layout.shards > 1 && to - from >= SPAWN_THRESHOLD {
+            // Worker threads carry no profiler: their time lands in the
+            // caller's next lap.
+            let mut domains: Vec<Domain<'_, SwitchShard>> = domains.collect();
             let per = domains.len().div_ceil(jobs);
             std::thread::scope(|scope| {
                 for chunk in domains.chunks_mut(per) {
                     scope.spawn(move || {
                         for d in chunk {
-                            d.advance(from, to);
+                            d.advance(from, to, drain, false);
                         }
                     });
                 }
             });
         } else {
-            for d in &mut domains {
-                d.advance(from, to);
+            for mut d in domains {
+                d.advance(from, to, drain, prof);
             }
         }
     }
@@ -906,6 +937,9 @@ impl HbmSystem {
     pub fn reset_stats(&mut self) {
         for g in &mut self.gens {
             g.reset_stats();
+        }
+        for stall in &mut self.stalls {
+            stall.owed = 0;
         }
         for m in &mut self.mcs {
             m.reset_stats();
@@ -932,9 +966,13 @@ impl HbmSystem {
         self.mcs.iter().map(|m| *m.stats()).collect()
     }
 
-    /// Interconnect statistics.
+    /// Interconnect statistics, including the ID-stall retries the
+    /// wake-driven kernel skipped (each one a stall cycle the fabric
+    /// would have counted).
     pub fn fabric_stats(&self) -> FabricStats {
-        self.fabric.stats()
+        let mut stats = self.fabric.stats();
+        stats.id_stall_cycles += self.stalls.iter().map(|s| s.owed).sum::<u64>();
+        stats
     }
 
     /// Visits the high-water mark of every queue in the system — the
@@ -953,18 +991,151 @@ impl HbmSystem {
     }
 }
 
-/// One per-switch execution domain: a [`SwitchShard`] plus the traffic
-/// sources, memory controllers, and stuck-completion slots of the
-/// masters and ports it owns. Between barriers the conductor advances
-/// each domain independently — possibly on its own thread — replaying
-/// the exact four-phase cycle schedule of [`HbmSystem::step`] on the
-/// domain's slice of the system. Lateral traffic lands in the shard's
-/// cycle-stamped outboxes; nothing outside the domain is touched until
-/// [`hbm_fabric::ShardedFabric::reconcile`] runs at the barrier.
-struct Domain<'a> {
-    shard: &'a mut SwitchShard,
+/// A source's ID-ordering stall retries that the wake-driven kernel
+/// skipped. Each stalled offer counts one `id_stall_cycles` in the
+/// reference; a source whose offer stalls sleeps until a completion
+/// reaches it, and the retries it skipped are owed here and added to
+/// [`HbmSystem::fabric_stats`] (DESIGN.md §3.12).
+#[derive(Debug, Clone, Copy, Default)]
+struct StallCredit {
+    /// The cycle of the last stalled offer, while the source sleeps on it.
+    since: Option<Cycle>,
+    /// Skipped retries settled since the last `reset_stats`.
+    owed: u64,
+}
+
+impl StallCredit {
+    /// Settles the retries skipped before cycle `now`: one per cycle
+    /// after the last stalled offer.
+    fn settle(&mut self, now: Cycle) {
+        if let Some(t0) = self.since.take() {
+            self.owed += now - 1 - t0;
+        }
+    }
+}
+
+/// The fabric side of one execution domain, addressed by domain-local
+/// master and port indices: a [`SwitchShard`] of a sharded fabric, or a
+/// whole monolithic [`Interconnect`]. Rejections carry the fabric's
+/// retry hints.
+trait DomainFabric {
+    fn offer(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)>;
+
+    /// Moves flits; lowers `source_wake[lm]` (`port_wake[lp]`) to `now`
+    /// for every master (port) whose ingress (completion) link it pops —
+    /// the event a `Cycle::MAX` retry hint waits for.
+    fn tick(&mut self, now: Cycle, source_wake: &mut [Cycle], port_wake: &mut [Cycle]);
+
+    fn peek_request(&self, now: Cycle, lp: usize) -> Option<&Transaction>;
+    fn pop_request(&mut self, now: Cycle, lp: usize) -> Option<Transaction>;
+    fn offer_completion(
+        &mut self,
+        now: Cycle,
+        lp: usize,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)>;
+    fn pop_completion(&mut self, now: Cycle, lm: usize) -> Option<Completion>;
+    fn next_event(&self, now: Cycle) -> Option<Cycle>;
+    fn drained(&self) -> bool;
+}
+
+impl DomainFabric for SwitchShard {
+    fn offer(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
+        self.offer_request_hinted(now, txn)
+    }
+
+    fn tick(&mut self, now: Cycle, source_wake: &mut [Cycle], port_wake: &mut [Cycle]) {
+        self.tick_and_wake(now, source_wake, port_wake);
+    }
+
+    fn peek_request(&self, now: Cycle, lp: usize) -> Option<&Transaction> {
+        SwitchShard::peek_request(self, now, lp)
+    }
+
+    fn pop_request(&mut self, now: Cycle, lp: usize) -> Option<Transaction> {
+        SwitchShard::pop_request(self, now, lp)
+    }
+
+    fn offer_completion(
+        &mut self,
+        now: Cycle,
+        lp: usize,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
+        self.offer_completion_hinted(now, lp, c)
+    }
+
+    fn pop_completion(&mut self, now: Cycle, lm: usize) -> Option<Completion> {
+        SwitchShard::pop_completion(self, now, lm)
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        SwitchShard::next_event(self, now)
+    }
+
+    fn drained(&self) -> bool {
+        SwitchShard::drained(self)
+    }
+}
+
+/// A monolithic fabric does not report the pops that free a full link,
+/// so its hints for one are the next cycle.
+impl DomainFabric for dyn Interconnect {
+    fn offer(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
+        self.offer_request_hinted(now, txn)
+    }
+
+    fn tick(&mut self, now: Cycle, _source_wake: &mut [Cycle], _port_wake: &mut [Cycle]) {
+        Interconnect::tick(self, now);
+    }
+
+    fn peek_request(&self, now: Cycle, lp: usize) -> Option<&Transaction> {
+        Interconnect::peek_request(self, now, PortId(lp as u16))
+    }
+
+    fn pop_request(&mut self, now: Cycle, lp: usize) -> Option<Transaction> {
+        Interconnect::pop_request(self, now, PortId(lp as u16))
+    }
+
+    fn offer_completion(
+        &mut self,
+        now: Cycle,
+        lp: usize,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
+        self.offer_completion_hinted(now, PortId(lp as u16), c)
+    }
+
+    fn pop_completion(&mut self, now: Cycle, lm: usize) -> Option<Completion> {
+        Interconnect::pop_completion(self, now, MasterId(lm as u16))
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        Interconnect::next_event(self, now)
+    }
+
+    fn drained(&self) -> bool {
+        Interconnect::drained(self)
+    }
+}
+
+/// One execution domain: a fabric part plus the traffic sources, memory
+/// controllers, stuck-completion slots and wakes of the masters and
+/// ports it owns. Between barriers the conductor advances each domain
+/// independently — possibly on its own thread. Lateral traffic lands in
+/// a shard's cycle-stamped outboxes; nothing outside the domain is
+/// touched until [`hbm_fabric::ShardedFabric::reconcile`] runs at the
+/// barrier.
+struct Domain<'a, F: ?Sized> {
+    fabric: &'a mut F,
     gens: &'a mut [Box<dyn TrafficSource>],
+    /// Per source: poll again from this cycle (DESIGN.md §3.12).
+    source_wake: &'a mut [Cycle],
+    stalls: &'a mut [StallCredit],
     mcs: &'a mut [MemoryController],
+    /// Per port: visit from this cycle even without a request to
+    /// accept (the controller's horizon, or a stuck completion's retry).
+    port_wake: &'a mut [Cycle],
     /// The bank-pool units of this domain's ports (unit `lp` belongs to
     /// `mcs[lp]`). Mutable slices only, so the domain stays `Send`.
     banks: BanksViewMut<'a>,
@@ -973,117 +1144,169 @@ struct Domain<'a> {
     /// The cycle of this domain's most recent executed step across the
     /// whole conducted run (drain-mode end-cycle reconstruction).
     last: &'a mut Option<Cycle>,
+    /// Blind-step credit, carried across barriers so a busy domain keeps
+    /// its burst from one window to the next.
+    pacer: &'a mut Pacer,
 }
 
-impl Domain<'_> {
-    /// Mirrors [`HbmSystem::drained`] on the domain's slice (the shard
+impl<F: DomainFabric + ?Sized> Domain<'_, F> {
+    /// Mirrors [`HbmSystem::drained`] on the domain's slice (a shard
     /// counts its receiver rings *and* unreconciled outboxes).
     fn drained(&self) -> bool {
         self.gens.iter().all(|g| g.drained())
-            && self.shard.drained()
+            && self.fabric.drained()
             && self.mcs.iter().all(|m| m.drained())
             && self.stuck.iter().all(|s| s.is_none())
     }
 
-    /// Mirrors [`HbmSystem::next_event`] on the domain's slice.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.stuck.iter().any(|s| s.is_some()) {
-            return Some(now); // retried against the shard every cycle
-        }
-        let mut best: Option<Cycle> = None;
-        let mut merge = |t: Option<Cycle>| -> bool {
-            match t {
-                Some(t) if t <= now => true,
-                Some(t) => {
-                    if best.is_none_or(|b| t < b) {
-                        best = Some(t);
-                    }
-                    false
-                }
-                None => false,
-            }
-        };
-        for g in self.gens.iter() {
-            if merge(g.next_event(now)) {
-                return Some(now);
-            }
-        }
-        if merge(self.shard.next_event(now)) {
-            return Some(now);
-        }
-        for mc in self.mcs.iter() {
-            if merge(mc.next_event(now)) {
-                return Some(now);
-            }
-        }
-        best
+    /// The earliest cycle ≥ `now` at which a step can do anything: the
+    /// minimum of the kept wakes and the fabric's horizon.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        let kept = self.source_wake.iter().chain(self.port_wake.iter()).copied().min();
+        let t = self.fabric.next_event(now).into_iter().chain(kept).min()?;
+        (t != Cycle::MAX).then(|| t.max(now))
     }
 
-    /// Mirrors the four phases of [`HbmSystem::step`] on the domain's
-    /// slice, with shard-local master/port indices.
-    fn step(&mut self, now: Cycle) {
-        for gen in self.gens.iter_mut() {
-            if let Some(txn) = gen.poll(now) {
-                if self.shard.offer_request(now, txn).is_ok() {
-                    gen.accepted();
-                }
+    /// The four phases of the cycle, visiting only the components whose
+    /// wake has come (DESIGN.md §3.12). `prof` is the phase-profiler bit
+    /// read once per run; laps are taken per component pass and per
+    /// visited port.
+    fn step(&mut self, now: Cycle, prof: bool) {
+        // 1. Due sources offer their head-of-line transaction. A source
+        //    with nothing to offer sleeps until its own next event; a
+        //    rejected one until the fabric's retry hint, or — stalled on
+        //    AXI ordering — until a completion, owing the skipped
+        //    retries. Completions and freed ingress slots wake any early.
+        let sources = self.gens.iter_mut().zip(self.source_wake.iter_mut());
+        for ((gen, wake), stall) in sources.zip(self.stalls.iter_mut()) {
+            if *wake > now {
+                continue;
             }
+            stall.settle(now);
+            *wake = match gen.poll(now) {
+                None => gen.next_event(now + 1).unwrap_or(Cycle::MAX),
+                Some(txn) => match self.fabric.offer(now, txn) {
+                    Ok(()) => {
+                        gen.accepted();
+                        now + 1
+                    }
+                    Err((_, Retry::At(t))) => t,
+                    Err((_, Retry::UntilCompletion)) => {
+                        stall.since = Some(now);
+                        Cycle::MAX
+                    }
+                },
+            };
         }
-        self.shard.tick(now);
+        if prof {
+            profile::lap(profile::Phase::GensTick);
+        }
+        // 2. The interconnect moves flits (a shard returns at once
+        //    before its own wake).
+        self.fabric.tick(now, self.source_wake, self.port_wake);
+        if prof {
+            profile::lap(profile::Phase::FabricTick);
+        }
+        // 3. Memory side: deliver requests (one per port per cycle, as an
+        //    AXI handshake would) and return completions. A port with no
+        //    request it can accept is skipped until its wake: the
+        //    controller's horizon, or a stuck completion's retry hint.
         for (lp, mc) in self.mcs.iter_mut().enumerate() {
-            if let Some(head) = self.shard.peek_request(now, lp) {
-                if mc.can_accept(head.dir) {
-                    let txn = self.shard.pop_request(now, lp).expect("peeked head");
-                    mc.accept(now, txn);
-                }
+            let accept = self.fabric.peek_request(now, lp).is_some_and(|h| mc.can_accept(h.dir));
+            if !accept && self.port_wake[lp] > now {
+                continue;
             }
+            let mut moved = accept;
+            if accept {
+                let txn = self.fabric.pop_request(now, lp).expect("peeked head");
+                mc.accept(now, txn);
+            }
+            if prof {
+                profile::lap(profile::Phase::QueueOps);
+            }
+            let queued = mc.queue_len();
             mc.tick(now, &mut self.banks.unit_mut(lp));
+            moved |= mc.queue_len() != queued;
+            if prof {
+                profile::lap(profile::Phase::McTick);
+            }
+            let mut retry = None;
             if let Some(c) = self.stuck[lp].take() {
-                if let Err(c) = self.shard.offer_completion(now, lp, c) {
-                    self.stuck[lp] = Some(c);
+                match self.fabric.offer_completion(now, lp, c) {
+                    Ok(()) => moved = true,
+                    Err((c, t)) => {
+                        self.stuck[lp] = Some(c);
+                        retry = Some(t);
+                    }
                 }
             }
             if self.stuck[lp].is_none() {
                 if let Some(c) = mc.pop_completion(now) {
-                    if let Err(c) = self.shard.offer_completion(now, lp, c) {
-                        self.stuck[lp] = Some(c);
+                    match self.fabric.offer_completion(now, lp, c) {
+                        Ok(()) => moved = true,
+                        Err((c, t)) => {
+                            self.stuck[lp] = Some(c);
+                            retry = Some(t);
+                        }
                     }
                 }
             }
+            // A busy port is simply visited again next cycle; only an
+            // idle visit pays for the controller's horizon. While a
+            // completion is stuck the controller pops nothing, so only
+            // its request side and the retry matter.
+            self.port_wake[lp] = match retry {
+                _ if moved => now + 1,
+                None => mc.next_event(now + 1).unwrap_or(Cycle::MAX),
+                Some(t) => mc.next_tick_event(now + 1).map_or(t, |issue| issue.min(t)),
+            };
         }
-        for lm in 0..self.gens.len() {
-            while let Some(c) = self.shard.pop_completion(now, lm) {
+        // 4. Masters drain completions; each delivery wakes its source.
+        for (lm, gen) in self.gens.iter_mut().enumerate() {
+            while let Some(c) = self.fabric.pop_completion(now, lm) {
                 if let Some(tr) = self.tracer {
                     tr.delivered(now, &c.txn);
                 }
-                self.gens[lm].completed(now, &c.txn);
+                gen.completed(now, &c.txn);
+                self.source_wake[lm] = self.source_wake[lm].min(now + 1);
             }
+        }
+        if prof {
+            profile::lap(profile::Phase::QueueOps);
         }
     }
 
-    /// Advances the domain over `[from, to)`, stepping only at cycles
-    /// its own horizon marks as potentially active — the sequential
-    /// event-horizon fast-forward, applied per domain. Cross-domain
-    /// input cannot arrive mid-window (the barrier rule), so the
-    /// horizon stays valid for the whole span. Stops early once locally
-    /// drained: the remaining cycles are provably no-ops, and skipping
-    /// them keeps `last` at the same cycle the sequential drain loop
-    /// would stop at.
-    fn advance(&mut self, from: Cycle, to: Cycle) {
+    /// Advances the domain over `[from, to)`, stepping only at cycles its
+    /// horizon marks as potentially active, or blind while the [`Pacer`]
+    /// grants credit. Cross-domain input cannot arrive mid-window (the
+    /// barrier rule), so the horizon stays valid for the whole span. In
+    /// drain mode it stops once locally drained: the remaining cycles are
+    /// provably no-ops, and stopping keeps `last` at the cycle the
+    /// reference drain loop would stop at.
+    fn advance(&mut self, from: Cycle, to: Cycle, drain: bool, prof: bool) {
         let mut now = from;
         while now < to {
-            if self.drained() {
+            if drain && self.drained() {
                 return;
             }
-            match self.next_event(now) {
-                Some(t) if t <= now => {
-                    self.step(now);
-                    *self.last = Some(now);
-                    now += 1;
+            if !self.pacer.take_credit() {
+                let horizon = self.horizon(now);
+                if prof {
+                    profile::lap(profile::Phase::HorizonCompute);
                 }
-                Some(t) => now = t.min(to),
-                None => return,
+                match horizon {
+                    Some(t) if t <= now => self.pacer.stepped(),
+                    Some(t) => {
+                        now = t.min(to);
+                        self.pacer.skipped();
+                        continue;
+                    }
+                    None => return,
+                }
             }
+            self.step(now, prof);
+            *self.last = Some(now);
+            now += 1;
         }
     }
 }

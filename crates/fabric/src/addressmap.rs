@@ -33,6 +33,8 @@ pub trait AddressMap {
 pub struct ContiguousMap {
     num_ports: usize,
     port_capacity: u64,
+    /// `log2(port_capacity)`: an address's port is a shift away.
+    port_shift: u32,
 }
 
 impl ContiguousMap {
@@ -43,7 +45,7 @@ impl ContiguousMap {
             port_capacity.is_power_of_two(),
             "port capacity must be a power of two for mask-based local offsets"
         );
-        ContiguousMap { num_ports, port_capacity }
+        ContiguousMap { num_ports, port_capacity, port_shift: port_capacity.trailing_zeros() }
     }
 }
 
@@ -62,6 +64,11 @@ impl AddressMap for ContiguousMap {
             "address {addr:#x} beyond device capacity"
         );
         addr
+    }
+
+    #[inline]
+    fn port_of(&self, addr: Addr) -> PortId {
+        PortId((self.remap(addr) >> self.port_shift) as u16)
     }
 }
 

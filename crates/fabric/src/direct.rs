@@ -10,7 +10,7 @@ use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transacti
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::link::{self, Flit, SerialLink};
 use crate::stats::FabricStats;
-use crate::Interconnect;
+use crate::{Interconnect, Retry};
 
 /// A direct 1:1 master↔port connection.
 pub struct DirectFabric {
@@ -48,6 +48,14 @@ impl Interconnect for DirectFabric {
     }
 
     fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
+        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
+    }
+
+    fn offer_request_hinted(
+        &mut self,
+        now: Cycle,
+        txn: Transaction,
+    ) -> Result<(), (Transaction, Retry)> {
         let m = txn.master.idx();
         assert_eq!(
             self.map.port_of(txn.addr).idx(),
@@ -59,7 +67,7 @@ impl Interconnect for DirectFabric {
         );
         let link = &mut self.fwd[m];
         if !link.can_send(now) {
-            return Err(txn);
+            return Err((txn, Retry::At(link.retry_at(now))));
         }
         let cost = txn.fwd_link_cycles();
         if let Some(tr) = &self.tracer {
@@ -89,9 +97,18 @@ impl Interconnect for DirectFabric {
         port: PortId,
         c: Completion,
     ) -> Result<(), Completion> {
+        self.offer_completion_hinted(now, port, c).map_err(|(c, _)| c)
+    }
+
+    fn offer_completion_hinted(
+        &mut self,
+        now: Cycle,
+        port: PortId,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
         let link = &mut self.ret[port.idx()];
         if !link.can_send(now) {
-            return Err(c);
+            return Err((c, link.retry_at(now)));
         }
         let cost = c.txn.ret_link_cycles();
         link.send(now, 0, cost, Flit::Resp(c));

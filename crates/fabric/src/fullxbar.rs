@@ -18,7 +18,7 @@ use crate::arbiter::RequestMasks;
 use crate::idtrack::IdTracker;
 use crate::link::{self, Flit, SerialLink};
 use crate::stats::FabricStats;
-use crate::Interconnect;
+use crate::{Interconnect, Retry};
 
 /// The monolithic crossbar fabric.
 pub struct FullCrossbarFabric {
@@ -83,14 +83,22 @@ impl Interconnect for FullCrossbarFabric {
     }
 
     fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
+        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
+    }
+
+    fn offer_request_hinted(
+        &mut self,
+        now: Cycle,
+        txn: Transaction,
+    ) -> Result<(), (Transaction, Retry)> {
         let m = txn.master.idx();
         let port = self.map.port_of(txn.addr);
         if self.id_track.conflicts(m, txn.dir, txn.id.0, port) {
             self.id_stall_cycles += 1;
-            return Err(txn);
+            return Err((txn, Retry::UntilCompletion));
         }
         if !self.ingress[m].can_send(now) {
-            return Err(txn);
+            return Err((txn, Retry::At(self.ingress[m].retry_at(now))));
         }
         let cost = txn.fwd_link_cycles();
         let (dir, id) = (txn.dir, txn.id.0);
@@ -122,9 +130,18 @@ impl Interconnect for FullCrossbarFabric {
         port: PortId,
         c: Completion,
     ) -> Result<(), Completion> {
+        self.offer_completion_hinted(now, port, c).map_err(|(c, _)| c)
+    }
+
+    fn offer_completion_hinted(
+        &mut self,
+        now: Cycle,
+        port: PortId,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
         let link = &mut self.ret_in[port.idx()];
         if !link.can_send(now) {
-            return Err(c);
+            return Err((c, link.retry_at(now)));
         }
         let cost = c.txn.ret_link_cycles();
         link.send(now, 0, cost, Flit::Resp(c));

@@ -71,6 +71,19 @@ pub use xilinx::{FabricConfig, XilinxFabric};
 
 use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
 
+/// Why an offer was turned away, and when repeating it can next matter —
+/// the hint a wake-driven kernel sleeps on (DESIGN.md §3.12).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retry {
+    /// Offering the same transaction again before this cycle is rejected
+    /// with no effect at all.
+    At(Cycle),
+    /// An ordering stall (AXI same-ID to another port, or a full reorder
+    /// buffer): every repeat is rejected *and counted as one stall
+    /// cycle* until a completion is delivered to this master.
+    UntilCompletion,
+}
+
 /// Geometry of a sharded fabric's execution domains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLayout {
@@ -147,6 +160,18 @@ pub trait Interconnect {
     /// serialization, full ingress queue, or an AXI ID-ordering stall).
     fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction>;
 
+    /// [`offer_request`](Interconnect::offer_request) that also says when
+    /// a rejected offer is next worth repeating. The hint is one-sided
+    /// like [`next_event`](Interconnect::next_event); the default,
+    /// `Retry::At(now + 1)`, is always correct.
+    fn offer_request_hinted(
+        &mut self,
+        now: Cycle,
+        txn: Transaction,
+    ) -> Result<(), (Transaction, Retry)> {
+        self.offer_request(now, txn).map_err(|txn| (txn, Retry::At(now + 1)))
+    }
+
     /// The request waiting at a pseudo-channel port, if any is ready.
     fn peek_request(&self, now: Cycle, port: PortId) -> Option<&Transaction>;
 
@@ -162,6 +187,19 @@ pub trait Interconnect {
         port: PortId,
         c: Completion,
     ) -> Result<(), Completion>;
+
+    /// [`offer_completion`](Interconnect::offer_completion) that also says
+    /// when a rejected completion is next worth offering: `Err((c, t))`
+    /// promises that offering it before cycle `t` fails with no effect.
+    /// The default, `now + 1`, is always correct.
+    fn offer_completion_hinted(
+        &mut self,
+        now: Cycle,
+        port: PortId,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
+        self.offer_completion(now, port, c).map_err(|c| (c, now + 1))
+    }
 
     /// Delivers the next completion for a master, if one has arrived.
     fn pop_completion(&mut self, now: Cycle, master: MasterId) -> Option<Completion>;

@@ -76,6 +76,22 @@ impl<T> SerialLink<T> {
         (now as f64) >= self.busy_until && self.q.can_push()
     }
 
+    /// The first cycle ≥ `now` at which [`can_send`](Self::can_send)
+    /// holds if nothing is consumed from the queue meanwhile; `None`
+    /// while the queue is full (only a pop frees a slot).
+    #[inline]
+    pub fn send_ready_at(&self, now: Cycle) -> Option<Cycle> {
+        self.q.can_push().then(|| now.max(self.busy_until.ceil() as Cycle))
+    }
+
+    /// The retry hint for an offer this link just turned away at `now`:
+    /// the end of its serialisation, or the next cycle while it is full
+    /// (its consumer may pop at any time).
+    #[inline]
+    pub fn retry_at(&self, now: Cycle) -> Cycle {
+        self.send_ready_at(now).unwrap_or(now + 1).max(now + 1)
+    }
+
     /// Sends an item of `cost_beats` from `src`, charging serialization
     /// and any grant-switch penalty. Panics if `can_send` is false.
     pub fn send(&mut self, now: Cycle, src: u16, cost_beats: u64, item: T) {
@@ -238,6 +254,18 @@ mod tests {
         l.send(0, 0, 1, 7);
         assert!(l.peek(4).is_none());
         assert_eq!(l.pop(5), Some(7));
+    }
+
+    #[test]
+    fn send_ready_at_matches_can_send() {
+        let mut l: SerialLink<u32> = SerialLink::new(1.5, 1.0, 2, 0);
+        assert_eq!(l.send_ready_at(3), Some(3));
+        l.send(0, 0, 2, 1);
+        l.send(2, 1, 2, 2); // 2/1.5 + 1/1.5 = 2 cycles past 2
+        assert_eq!(l.send_ready_at(2), None, "full");
+        l.pop(10);
+        let t = l.send_ready_at(2).unwrap();
+        assert!(l.can_send(t) && !l.can_send(t - 1), "ready at {t}");
     }
 
     #[test]

@@ -39,14 +39,30 @@
 //! receiver's pop credits, preserving cycle stamps. The owning fabric
 //! calls it at every synchronisation barrier (each cycle when stepping
 //! sequentially).
+//!
+//! ## The self-scheduled tick
+//!
+//! A shard records the earliest cycle its crossbar can next grant
+//! anything (its *wake*, DESIGN.md §3.12) and [`SwitchShard::tick`]
+//! returns at once before it. A tick that grants sets the wake to the
+//! next cycle; a tick that grants nothing sets it to the earliest of the
+//! not-yet-arrived input heads' stamps and, for every arrived head, the
+//! cycle its blocked output can next send (serialisation end, or the
+//! lateral credit that must mature first). Everything that can unblock
+//! earlier is an external call — an accepted offer, a pop at a port or
+//! master, a reconcile that moves a flit or credit — and each lowers the
+//! wake. The wake feeds [`SwitchShard::next_event`], so a conductor's
+//! domain horizon skips the cycles in which heads sit blocked.
 
 use hbm_axi::{Completion, Cycle, SharedTracer, StampedRing, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
+use crate::arbiter::RequestMasks;
 use crate::idtrack::IdTracker;
 use crate::link::{Flit, SerialLink};
 use crate::stats::LinkStats;
 use crate::xilinx::FabricConfig;
+use crate::Retry;
 
 /// Sender endpoint of a lateral channel: one direction of one lateral bus
 /// crossing one switch boundary (request and response channels are
@@ -106,6 +122,20 @@ impl LateralTx {
         }
         let matured = self.credits.ready_len(now);
         self.occupied - matured < self.capacity
+    }
+
+    /// The first cycle ≥ `now` at which [`can_send`](Self::can_send)
+    /// holds without further credits arriving: the serialisation end,
+    /// pushed back to the maturity of the credit that frees a slot when
+    /// the channel is full. `None` when the freeing credit has not been
+    /// returned yet (the next [`reconcile`] brings it).
+    #[inline]
+    fn send_ready_at(&self, now: Cycle) -> Option<Cycle> {
+        let free = now.max(self.busy_until.ceil() as Cycle);
+        match self.occupied.checked_sub(self.capacity) {
+            None => Some(free),
+            Some(k) => self.credits.deadline_at(k).map(|t| free.max(t)),
+        }
     }
 
     /// Sends a flit of `cost_beats` from local input `src`, charging
@@ -214,16 +244,23 @@ impl LateralRx {
 /// call at any barrier no finer than once per cycle and no coarser than
 /// the lateral-horizon window: stamps guarantee nothing becomes visible
 /// early, regardless of how often reconciliation runs.
-pub fn reconcile(tx: &mut LateralTx, rx: &mut LateralRx) {
+///
+/// Returns the earliest stamp delivered to the receiver and the earliest
+/// credit returned to the sender (`Cycle::MAX` when none), the cycles
+/// from which each side's crossbar may act on them.
+pub fn reconcile(tx: &mut LateralTx, rx: &mut LateralRx) -> (Cycle, Cycle) {
+    let delivered = tx.outbox.next_ready_at().unwrap_or(Cycle::MAX);
     while let Some((ready_at, flit)) = tx.outbox.pop_front() {
         let pushed = rx.ring.push_at(ready_at, flit);
         assert!(pushed.is_ok(), "credit protocol bounds the receiver ring by capacity");
     }
+    let credited = rx.pops.first().map_or(Cycle::MAX, |&t| t + tx.latency);
     for &popped_at in &rx.pops {
         let pushed = tx.credits.push_at(popped_at + tx.latency, ());
         debug_assert!(pushed.is_ok(), "credit protocol bounds outstanding credits");
     }
     rx.pops.clear();
+    (delivered, credited)
 }
 
 /// One mini switch of the segmented fabric as a self-contained execution
@@ -263,12 +300,12 @@ pub struct SwitchShard {
     east_rx: Vec<LateralRx>,
     /// Round-robin pointer per output slot.
     rr: Vec<usize>,
-    /// Cycle each input slot last had a flit popped (one pop per input
-    /// per cycle).
-    popped_at: Vec<Cycle>,
-    /// Per-tick routing scratch: `(output slot, input slot)` of every
-    /// ready input head.
-    scratch: Vec<(usize, usize)>,
+    /// Per output slot: the input slots whose ready head routes to it
+    /// (rebuilt by every tick that runs).
+    cand: RequestMasks,
+    /// The earliest cycle the crossbar can next grant (see the module
+    /// docs); [`tick`](SwitchShard::tick) returns at once before it.
+    wake: Cycle,
     /// Outstanding (local master, dir, id) → destination tracking.
     id_track: IdTracker,
     id_stall_cycles: u64,
@@ -335,8 +372,8 @@ impl SwitchShard {
                 Vec::new()
             },
             rr: vec![0; n_out],
-            popped_at: vec![Cycle::MAX; n_in],
-            scratch: Vec::with_capacity(16),
+            cand: RequestMasks::new(n_out, n_in),
+            wake: 0,
             id_track: IdTracker::new(mps),
             id_stall_cycles: 0,
             tracer: None,
@@ -401,6 +438,36 @@ impl SwitchShard {
         }
     }
 
+    /// Arrival stamp of input `slot`'s head, if it holds any flit.
+    fn in_ready_at(&self, slot: usize) -> Option<Cycle> {
+        let (mps, pps) = (self.mps, self.pps);
+        if slot < mps {
+            self.master_in[slot].next_ready_at()
+        } else if slot < mps + pps {
+            self.mc_in[slot - mps].next_ready_at()
+        } else if slot < mps + pps + self.west_rx.len() {
+            self.west_rx[slot - mps - pps].next_ready_at()
+        } else {
+            self.east_rx[slot - mps - pps - self.west_rx.len()].next_ready_at()
+        }
+    }
+
+    /// The first cycle ≥ `now` at which output `slot` can send without
+    /// an external pop or credit; `Cycle::MAX` when it needs one.
+    fn out_ready_at(&self, slot: usize, now: Cycle) -> Cycle {
+        let (mps, pps) = (self.mps, self.pps);
+        let t = if slot < pps {
+            self.mc_out[slot].send_ready_at(now)
+        } else if slot < pps + mps {
+            self.master_out[slot - pps].send_ready_at(now)
+        } else if slot < pps + mps + self.east_tx.len() {
+            self.east_tx[slot - pps - mps].send_ready_at(now)
+        } else {
+            self.west_tx[slot - pps - mps - self.east_tx.len()].send_ready_at(now)
+        };
+        t.unwrap_or(Cycle::MAX)
+    }
+
     fn out_send(&mut self, slot: usize, now: Cycle, src: u16, cost: u64, flit: Flit) {
         let (mps, pps) = (self.mps, self.pps);
         if slot < pps {
@@ -435,12 +502,12 @@ impl SwitchShard {
     fn route(&self, slot: usize, flit: &Flit) -> usize {
         let (dest_switch, local, is_req) = match flit {
             Flit::Req(t) => {
-                let p = self.map.port_of(t.addr).idx();
-                (p / self.pps, p % self.pps, true)
+                let (switch, local) = div_rem(self.map.port_of(t.addr).idx(), self.pps);
+                (switch, local, true)
             }
             Flit::Resp(c) => {
-                let m = c.txn.master.idx();
-                (m / self.mps, m % self.mps, false)
+                let (switch, local) = div_rem(c.txn.master.idx(), self.mps);
+                (switch, local, false)
             }
         };
         if dest_switch == self.s {
@@ -472,15 +539,29 @@ impl SwitchShard {
     /// fabric-level contract: `Err` returns the transaction on port
     /// serialization, a full ingress queue, or an AXI ID-ordering stall.
     pub fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
+        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
+    }
+
+    /// [`offer_request`](Self::offer_request) that also says when a
+    /// rejected offer is next worth repeating (see [`Retry`]). An
+    /// ID-ordering stall lasts until a completion reaches the master; a
+    /// busy ingress link frees when its serialisation ends; a full one
+    /// gives `Retry::At(Cycle::MAX)`, because only this shard's tick frees
+    /// it, and [`tick_and_wake`](Self::tick_and_wake) reports that.
+    pub fn offer_request_hinted(
+        &mut self,
+        now: Cycle,
+        txn: Transaction,
+    ) -> Result<(), (Transaction, Retry)> {
         let lm = txn.master.idx() - self.s * self.mps;
         let port = self.map.port_of(txn.addr);
         if self.id_track.conflicts(lm, txn.dir, txn.id.0, port) {
             self.id_stall_cycles += 1;
-            return Err(txn);
+            return Err((txn, Retry::UntilCompletion));
         }
         let link = &mut self.master_in[lm];
         if !link.can_send(now) {
-            return Err(txn);
+            return Err((txn, Retry::At(link.send_ready_at(now).unwrap_or(Cycle::MAX))));
         }
         let cost = txn.fwd_link_cycles();
         let (dir, id) = (txn.dir, txn.id.0);
@@ -489,6 +570,8 @@ impl SwitchShard {
         }
         link.send(now, 0, cost, Flit::Req(txn));
         self.id_track.issue(lm, dir, id, port);
+        // The flit arrives at least one cycle out (latencies are ≥ 1).
+        self.wake = self.wake.min(now + 1);
         Ok(())
     }
 
@@ -504,7 +587,11 @@ impl SwitchShard {
     /// Removes the request ready at local port `lp`.
     pub fn pop_request(&mut self, now: Cycle, lp: usize) -> Option<Transaction> {
         match self.mc_out[lp].pop(now) {
-            Some(Flit::Req(t)) => Some(t),
+            Some(Flit::Req(t)) => {
+                // A freed slot may unblock a head routed to this port.
+                self.wake = self.wake.min(now);
+                Some(t)
+            }
             Some(Flit::Resp(_)) => unreachable!("response on a request link"),
             None => None,
         }
@@ -517,12 +604,28 @@ impl SwitchShard {
         lp: usize,
         c: Completion,
     ) -> Result<(), Completion> {
+        self.offer_completion_hinted(now, lp, c).map_err(|(c, _)| c)
+    }
+
+    /// [`offer_completion`](Self::offer_completion) that also says when a
+    /// rejected completion is next worth offering: `Err((c, t))`
+    /// promises failure with no effect before cycle `t` — the end of the
+    /// return link's serialisation, or `Cycle::MAX` while it is full
+    /// (only this shard's tick frees it, and
+    /// [`tick_and_wake`](Self::tick_and_wake) reports that).
+    pub fn offer_completion_hinted(
+        &mut self,
+        now: Cycle,
+        lp: usize,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
         let link = &mut self.mc_in[lp];
         if !link.can_send(now) {
-            return Err(c);
+            return Err((c, link.send_ready_at(now).unwrap_or(Cycle::MAX)));
         }
         let cost = c.txn.ret_link_cycles();
         link.send(now, 0, cost, Flit::Resp(c));
+        self.wake = self.wake.min(now + 1);
         Ok(())
     }
 
@@ -531,6 +634,7 @@ impl SwitchShard {
         match self.master_out[lm].pop(now) {
             Some(Flit::Resp(c)) => {
                 self.id_track.retire(lm, c.txn.dir, c.txn.id.0);
+                self.wake = self.wake.min(now);
                 Some(c)
             }
             Some(Flit::Req(_)) => unreachable!("request on a completion link"),
@@ -541,82 +645,108 @@ impl SwitchShard {
     /// Advances the local crossbar by one cycle. Touches only shard-local
     /// state plus this shard's own lateral endpoints; cross-shard flits
     /// accumulate in the sender outboxes until the owning fabric
-    /// reconciles the boundary.
+    /// reconciles the boundary. Returns at once before the wake.
     pub fn tick(&mut self, now: Cycle) {
-        // Two passes, identical to the monolithic arbitration: pass 1
-        // routes each ready input head exactly once into the scratch
-        // list; pass 2 arbitrates each output over the pre-routed
-        // candidates (candidate heads are fixed for the whole cycle —
-        // every latency is >= 1 — and popped inputs are excluded).
-        self.scratch.clear();
-        let n_in = self.n_in();
-        for slot in 0..n_in {
-            let Some(head) = self.in_peek(slot, now) else {
-                continue;
-            };
-            let out = self.route(slot, head);
-            self.scratch.push((out, slot));
-        }
-        if self.scratch.is_empty() {
-            return;
-        }
-        let lateral_base = self.lateral_out_base();
-        for out_slot in 0..self.n_out() {
-            if !self.out_can_send(out_slot, now) {
-                continue;
-            }
-            // Round-robin: the candidate closest after the pointer wins
-            // (one pop per input per cycle).
-            let start = self.rr[out_slot];
-            let mut chosen: Option<(usize, usize)> = None; // (rr distance, slot)
-            for &(o, slot) in &self.scratch {
-                if o != out_slot || self.popped_at[slot] == now {
-                    continue;
-                }
-                let dist = (slot + n_in - start) % n_in;
-                if chosen.is_none_or(|(d, _)| dist < d) {
-                    chosen = Some((dist, slot));
-                }
-            }
-            if let Some((_, slot)) = chosen {
-                let flit = self.in_pop(slot, now).expect("peeked head vanished");
-                self.popped_at[slot] = now;
-                let cost = flit.cost_beats();
-                if let Some(tr) = &self.tracer {
-                    if out_slot >= lateral_base {
-                        let (m, seq) = match &flit {
-                            Flit::Req(t) => (t.master.0, t.seq),
-                            Flit::Resp(c) => (c.txn.master.0, c.txn.seq),
-                        };
-                        tr.lateral_hop(now, m, seq);
-                    }
-                }
-                self.out_send(out_slot, now, slot as u16, cost, flit);
-                self.rr[out_slot] = (slot + 1) % n_in;
-            }
-        }
+        self.tick_and_wake(now, &mut [], &mut []);
     }
 
-    /// The shard's next-event horizon: earliest cycle ≥ `now` at which
-    /// any local link or lateral ring delivers a head. Sender outboxes
-    /// are empty at every barrier, so they never contribute.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut best: Option<Cycle> = None;
-        let times = self
-            .master_in
-            .iter()
-            .chain(&self.mc_in)
-            .chain(&self.mc_out)
-            .chain(&self.master_out)
-            .filter_map(|l| l.next_ready_at())
-            .chain(self.west_rx.iter().chain(&self.east_rx).filter_map(|r| r.next_ready_at()));
-        for t in times {
-            if t <= now {
-                return Some(now);
-            }
-            best = Some(best.map_or(t, |b: Cycle| b.min(t)));
+    /// [`tick`](Self::tick) that also lowers `masters[lm]` (`ports[lp]`)
+    /// to `now` for every local master (port) whose ingress (completion)
+    /// link it pops: a rejected offer there may succeed from this cycle
+    /// on (see [`offer_request_hinted`](Self::offer_request_hinted) and
+    /// [`offer_completion_hinted`](Self::offer_completion_hinted)). Each
+    /// slice is empty or holds one entry per local master (port).
+    pub fn tick_and_wake(&mut self, now: Cycle, masters: &mut [Cycle], ports: &mut [Cycle]) {
+        if now < self.wake {
+            return;
         }
-        best
+        // Two passes: pass 1 routes each ready input head exactly once
+        // into its output's candidate row; pass 2 grants each output the
+        // first candidate at or after its round-robin pointer. A head
+        // routes to one output, so no input can win twice in a cycle.
+        self.cand.clear_all();
+        let mut any = false;
+        for slot in 0..self.n_in() {
+            if let Some(head) = self.in_peek(slot, now) {
+                self.cand.set(self.route(slot, head), slot);
+                any = true;
+            }
+        }
+        let mut granted = false;
+        if any {
+            for out_slot in 0..self.n_out() {
+                if self.cand.row_is_empty(out_slot) || !self.out_can_send(out_slot, now) {
+                    continue;
+                }
+                let slot = self.cand.pick(out_slot, self.rr[out_slot]).expect("non-empty row");
+                self.grant(now, slot, out_slot);
+                let freed = if slot < self.mps {
+                    masters.get_mut(slot)
+                } else if slot < self.mps + self.pps {
+                    ports.get_mut(slot - self.mps)
+                } else {
+                    None
+                };
+                if let Some(wake) = freed {
+                    *wake = (*wake).min(now);
+                }
+                granted = true;
+            }
+        }
+        self.settle_wake(now, granted);
+    }
+
+    /// Moves the head of input `slot` onto output `out_slot` and advances
+    /// the output's round-robin pointer past it.
+    fn grant(&mut self, now: Cycle, slot: usize, out_slot: usize) {
+        let flit = self.in_pop(slot, now).expect("routed head vanished");
+        let cost = flit.cost_beats();
+        if let Some(tr) = &self.tracer {
+            if out_slot >= self.lateral_out_base() {
+                let (m, seq) = match &flit {
+                    Flit::Req(t) => (t.master.0, t.seq),
+                    Flit::Resp(c) => (c.txn.master.0, c.txn.seq),
+                };
+                tr.lateral_hop(now, m, seq);
+            }
+        }
+        self.out_send(out_slot, now, slot as u16, cost, flit);
+        self.rr[out_slot] = (slot + 1) % self.n_in();
+    }
+
+    /// Sets the wake after a tick at `now`: the next cycle after a grant;
+    /// otherwise every arrived head is blocked at its output, so the
+    /// earliest of the pending arrivals and the blocked outputs' own
+    /// send-ready cycles.
+    fn settle_wake(&mut self, now: Cycle, granted: bool) {
+        self.wake = if granted {
+            now + 1
+        } else {
+            let mut wake = Cycle::MAX;
+            for slot in 0..self.n_in() {
+                let Some(t) = self.in_ready_at(slot) else {
+                    continue;
+                };
+                let t = if t > now {
+                    t
+                } else {
+                    let head = self.in_peek(slot, now).expect("arrived head");
+                    self.out_ready_at(self.route(slot, head), now + 1)
+                };
+                wake = wake.min(t);
+            }
+            wake
+        };
+    }
+
+    /// The shard's next-event horizon: the earliest cycle ≥ `now` at
+    /// which the crossbar can grant (its wake) or a head becomes
+    /// visible at a controller port or a master. Sender outboxes are
+    /// empty at every barrier, so they never contribute.
+    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let heads = self.mc_out.iter().chain(&self.master_out).filter_map(|l| l.next_ready_at());
+        let t = heads.fold(self.wake, Cycle::min);
+        (t != Cycle::MAX).then(|| t.max(now))
     }
 
     /// `true` when nothing is in flight anywhere in this shard, including
@@ -744,11 +874,72 @@ impl SwitchShard {
     pub fn reconcile_boundary(left: &mut SwitchShard, right: &mut SwitchShard) {
         debug_assert_eq!(left.s + 1, right.s, "reconcile expects adjacent shards");
         for (tx, rx) in left.east_tx.iter_mut().zip(right.west_rx.iter_mut()) {
-            reconcile(tx, rx);
+            let (delivered, credited) = reconcile(tx, rx);
+            right.wake = right.wake.min(delivered);
+            left.wake = left.wake.min(credited);
         }
         for (tx, rx) in right.west_tx.iter_mut().zip(left.east_rx.iter_mut()) {
-            reconcile(tx, rx);
+            let (delivered, credited) = reconcile(tx, rx);
+            left.wake = left.wake.min(delivered);
+            right.wake = right.wake.min(credited);
         }
+    }
+
+    /// The linear round-robin scan the bitmask tick replaced, kept as the
+    /// oracle for `tick_matches_reference_scan`. It never skips; it
+    /// settles the wake only where [`tick`](Self::tick) would run, so a
+    /// tick skipped while a grant was possible shows up as a divergence.
+    #[cfg(test)]
+    pub(crate) fn tick_reference(&mut self, now: Cycle) {
+        let n_in = self.n_in();
+        let mut routed = Vec::new();
+        for slot in 0..n_in {
+            if let Some(head) = self.in_peek(slot, now) {
+                routed.push((self.route(slot, head), slot));
+            }
+        }
+        let mut popped = vec![false; n_in];
+        let mut granted = false;
+        for out_slot in 0..self.n_out() {
+            if routed.is_empty() || !self.out_can_send(out_slot, now) {
+                continue;
+            }
+            let start = self.rr[out_slot];
+            let mut chosen: Option<(usize, usize)> = None; // (rr distance, slot)
+            for &(o, slot) in &routed {
+                if o != out_slot || popped[slot] {
+                    continue;
+                }
+                let dist = (slot + n_in - start) % n_in;
+                if chosen.is_none_or(|(d, _)| dist < d) {
+                    chosen = Some((dist, slot));
+                }
+            }
+            if let Some((_, slot)) = chosen {
+                // The old grant, spelled out so a slip in the shared
+                // `grant` shows up as a divergence (the oracle's fabric
+                // carries no tracer).
+                popped[slot] = true;
+                let flit = self.in_pop(slot, now).expect("peeked head vanished");
+                self.out_send(out_slot, now, slot as u16, flit.cost_beats(), flit);
+                self.rr[out_slot] = (slot + 1) % n_in;
+                granted = true;
+            }
+        }
+        if granted || now >= self.wake {
+            self.settle_wake(now, granted);
+        }
+    }
+}
+
+/// `(x / d, x % d)`, a shift and a mask for the stock power-of-two
+/// switch widths.
+#[inline]
+fn div_rem(x: usize, d: usize) -> (usize, usize) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & (d - 1))
+    } else {
+        (x / d, x % d)
     }
 }
 

@@ -22,7 +22,9 @@
 //! every pull from it, because the pull shifts its window.
 
 use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
-use hbm_fabric::{horizon, AddressMap, FabricStats, Flit, Interconnect, RequestMasks, SerialLink};
+use hbm_fabric::{
+    horizon, AddressMap, FabricStats, Flit, Interconnect, RequestMasks, Retry, SerialLink,
+};
 
 use crate::config::MaoConfig;
 use crate::interleave::InterleavedMap;
@@ -131,13 +133,23 @@ impl Interconnect for MaoFabric {
     }
 
     fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
+        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
+    }
+
+    /// A full reorder buffer frees only when an in-order completion is
+    /// delivered to the master.
+    fn offer_request_hinted(
+        &mut self,
+        now: Cycle,
+        txn: Transaction,
+    ) -> Result<(), (Transaction, Retry)> {
         let m = txn.master.idx();
         if !self.rob[m].can_reserve() {
             self.rob_stall_cycles += 1;
-            return Err(txn);
+            return Err((txn, Retry::UntilCompletion));
         }
         if !self.ingress[m].can_send(now) {
-            return Err(txn);
+            return Err((txn, Retry::At(self.ingress[m].retry_at(now))));
         }
         // Interleave: rewrite onto the physical (contiguous-per-port)
         // space so downstream components can use plain masked offsets.
@@ -181,9 +193,18 @@ impl Interconnect for MaoFabric {
         port: PortId,
         c: Completion,
     ) -> Result<(), Completion> {
+        self.offer_completion_hinted(now, port, c).map_err(|(c, _)| c)
+    }
+
+    fn offer_completion_hinted(
+        &mut self,
+        now: Cycle,
+        port: PortId,
+        c: Completion,
+    ) -> Result<(), (Completion, Cycle)> {
         let link = &mut self.ret_in[port.idx()];
         if !link.can_send(now) {
-            return Err(c);
+            return Err((c, link.retry_at(now)));
         }
         let cost = c.txn.ret_link_cycles();
         link.send(now, 0, cost, Flit::Resp(c));

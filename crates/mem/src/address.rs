@@ -23,22 +23,34 @@ pub struct PchAddress {
 }
 
 impl PchAddress {
-    /// Decodes a PCH-local byte offset.
+    /// Decodes a PCH-local byte offset. The row size is a power of two
+    /// (`HbmConfig::validate`), so the column and row split is a mask and
+    /// a shift; the bank split divides only when its divisor is not a
+    /// power of two. The scheduler decodes every queue entry it ranks,
+    /// so this stays free of 64-bit divisions on stock geometries.
+    #[inline]
     pub fn decode(geom: &PchGeometry, offset: Addr) -> PchAddress {
         debug_assert!(offset < geom.pch_capacity, "offset beyond PCH capacity");
-        let col = (offset % geom.row_bytes) as u32;
-        let row_linear = offset / geom.row_bytes;
+        debug_assert!(geom.row_bytes.is_power_of_two(), "row size must be a power of two");
+        let col = (offset & (geom.row_bytes - 1)) as u32;
+        let row_linear = offset >> geom.row_bytes.trailing_zeros();
+        // (row_linear mod n, row_linear / n)
+        let split = |n: u64| {
+            if n.is_power_of_two() {
+                (row_linear & (n - 1), row_linear >> n.trailing_zeros())
+            } else {
+                (row_linear % n, row_linear / n)
+            }
+        };
         match geom.addr_map {
-            AddressMapPolicy::RowInterleaved => PchAddress {
-                bank: (row_linear % geom.banks_per_pch as u64) as u32,
-                row: row_linear / geom.banks_per_pch as u64,
-                col,
-            },
-            AddressMapPolicy::BankContiguous => PchAddress {
-                bank: (row_linear / geom.rows_per_bank()) as u32,
-                row: row_linear % geom.rows_per_bank(),
-                col,
-            },
+            AddressMapPolicy::RowInterleaved => {
+                let (bank, row) = split(geom.banks_per_pch as u64);
+                PchAddress { bank: bank as u32, row, col }
+            }
+            AddressMapPolicy::BankContiguous => {
+                let (row, bank) = split(geom.rows_per_bank());
+                PchAddress { bank: bank as u32, row, col }
+            }
         }
     }
 
@@ -195,6 +207,39 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
+        /// The shift-and-mask decode equals the plain division formula,
+        /// for power-of-two and other bank counts, under both policies.
+        #[test]
+        fn decode_matches_division(
+            banks in prop::sample::select(vec![1usize, 3, 12, 16, 32]),
+            row_log2 in 6u32..13,
+            contiguous in any::<bool>(),
+            frac in 0u64..1_000_000,
+        ) {
+            let row_bytes = 1u64 << row_log2;
+            let rows_per_bank = 1 << 10;
+            let g = PchGeometry {
+                pch_capacity: row_bytes * banks as u64 * rows_per_bank,
+                row_bytes,
+                banks_per_pch: banks,
+                addr_map: if contiguous {
+                    AddressMapPolicy::BankContiguous
+                } else {
+                    AddressMapPolicy::RowInterleaved
+                },
+            };
+            let off = g.pch_capacity * frac / 1_000_000;
+            let row_linear = off / row_bytes;
+            let (bank, row) = if contiguous {
+                (row_linear / rows_per_bank, row_linear % rows_per_bank)
+            } else {
+                (row_linear % banks as u64, row_linear / banks as u64)
+            };
+            let a = PchAddress::decode(&g, off);
+            prop_assert_eq!((a.bank as u64, a.row, a.col as u64), (bank, row, off % row_bytes));
+            prop_assert_eq!(a.encode(&g), off);
+        }
+
         /// decode/encode round-trips for arbitrary in-range offsets.
         #[test]
         fn decode_encode_roundtrip(off in 0u64..(256u64 << 20)) {

@@ -9,9 +9,8 @@
 //! Bank state is not stored as a `Vec` of per-bank structs but as one
 //! [`BankPool`]: five contiguous parallel arrays (`open_row` plus four
 //! timing fields) covering every bank of every *unit* (pseudo-channel) an
-//! owner holds — 32 units for the scalar system, `lanes × 32` laid out
-//! lane-major for the lockstep kernel, mirroring the `StampedRing` /
-//! `LaneRings` design of the queue substrate. The controller's hot
+//! owner holds (32 units for the stock system), mirroring the flat
+//! `StampedRing` design of the queue substrate. The controller's hot
 //! operations (`classify` for FR-FCFS ranking, refresh row-close, the
 //! row-state walk of `execute_burst`) then touch dense cache lines
 //! instead of pointer-chasing a heap of tiny structs. Mutable access
@@ -102,13 +101,6 @@ impl BankPool {
             row_busy_until: &mut self.row_busy_until,
         }
     }
-
-    /// Splits the pool into disjoint contiguous views of
-    /// `units_per_view` units each (must divide the unit count) — the
-    /// lockstep kernel's per-lane decomposition.
-    pub fn views_mut(&mut self, units_per_view: usize) -> impl Iterator<Item = BanksViewMut<'_>> {
-        self.view_mut().chunks_mut(units_per_view)
-    }
 }
 
 /// Mutable bank state for a contiguous run of units — the splittable
@@ -145,20 +137,6 @@ impl<'a> BanksViewMut<'a> {
         }
     }
 
-    /// Reborrows the whole view with a shorter lifetime — lets an owner
-    /// split the same view repeatedly (e.g. once per barrier window).
-    pub fn reborrow(&mut self) -> BanksViewMut<'_> {
-        BanksViewMut {
-            units: self.units,
-            banks_per_unit: self.banks_per_unit,
-            open_row: &mut *self.open_row,
-            ready_at: &mut *self.ready_at,
-            row_data_ready: &mut *self.row_data_ready,
-            precharge_ok_at: &mut *self.precharge_ok_at,
-            row_busy_until: &mut *self.row_busy_until,
-        }
-    }
-
     /// Consumes the view, yielding one unit's banks with the full view
     /// lifetime (view-local unit index).
     pub fn into_unit_mut(self, unit: usize) -> BanksMut<'a> {
@@ -175,8 +153,8 @@ impl<'a> BanksViewMut<'a> {
 
     /// Splits into disjoint contiguous sub-views of `units_per_chunk`
     /// units each (must divide the view's unit count). Implemented as a
-    /// zip of per-array `chunks_mut`, the same idiom as the lane-ring
-    /// substrate, so each sub-view stays a set of plain slices.
+    /// zip of per-array `chunks_mut`, so each sub-view stays a set of
+    /// plain slices.
     pub fn chunks_mut(self, units_per_chunk: usize) -> impl Iterator<Item = BanksViewMut<'a>> {
         assert!(units_per_chunk > 0, "chunks_mut: zero units per chunk");
         assert!(
@@ -450,7 +428,7 @@ mod tests {
         for u in 0..4 {
             pool.unit_mut(u).access(&tm, 1, 0.0, 0.0, u as u64 + 10);
         }
-        let views: Vec<_> = pool.views_mut(2).collect();
+        let views: Vec<_> = pool.view_mut().chunks_mut(2).collect();
         assert_eq!(views.len(), 2);
         let mut seen = Vec::new();
         for mut v in views {

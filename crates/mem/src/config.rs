@@ -194,9 +194,9 @@ impl Default for McConfig {
 
 /// The geometry one pseudo-channel's address decode needs: a small
 /// `Copy` subset of [`HbmConfig`] kept inline in every [`crate::PchDram`]
-/// so the hot path never chases a full config clone (32 PCHs × K
-/// lockstep lanes would otherwise each carry ~200 bytes of fabric-level
-/// fields they never read).
+/// so the hot path never chases a full config clone (32 PCHs would
+/// otherwise each carry ~200 bytes of fabric-level fields they never
+/// read).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PchGeometry {
     /// Capacity per pseudo-channel in bytes.

@@ -371,23 +371,24 @@ impl MemoryController {
     /// See DESIGN.md §3 for the one-sided contract: waking early is a
     /// harmless no-op, waking late would break cycle accuracy.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut best: Option<Cycle> = None;
-        let mut merge = |t: Cycle| match best {
-            Some(b) if b <= t => {}
-            _ => best = Some(t),
-        };
-        if let Some(t) = self.resp_q.next_ready_at() {
-            merge(t);
-        }
-        if let Some(t) = self.ack_q.next_ready_at() {
-            merge(t);
-        }
+        let responses = self.resp_q.next_ready_at().into_iter().chain(self.ack_q.next_ready_at());
+        let first = responses.min().map(|t| t.max(now));
+        first.into_iter().chain(self.next_tick_event(now)).min()
+    }
+
+    /// The request side of [`next_event`](Self::next_event) alone: a lower
+    /// bound on the first cycle ≥ `now` at which [`tick`](Self::tick)
+    /// could issue a DRAM job, assuming nothing is accepted *and no
+    /// completion is popped* in the meantime (a kernel holding a
+    /// completion it cannot forward uses it: it pops nothing until the
+    /// completion leaves).
+    pub fn next_tick_event(&self, now: Cycle) -> Option<Cycle> {
         let req_hint = match self.sched {
             // A full no-candidate scan: entries 0..examined stay
             // ineligible until an invalidation (issue clears the cache;
             // resp-pop with `!allow_reads` clears it in `pop_resp` — and
             // any such block implies the response queue is non-empty, so
-            // `resp_q.next_ready_at()` above already bounds that wake-up).
+            // `next_event`'s response bound already covers that wake-up).
             Some(c) if c.best.is_none() => {
                 if c.examined < self.mc.window {
                     // Next unexamined entry's visibility time, if any.
@@ -402,13 +403,9 @@ impl MemoryController {
             }
             _ => self.req_q.next_ready_at(),
         };
-        if let Some(t) = req_hint {
-            // A queued request can only be scheduled once it is visible
-            // *and* the issue-ahead gate has cleared.
-            let gate = self.dram.gate_opens_at(self.clock, self.mc.lookahead_ns);
-            merge(t.max(gate));
-        }
-        best.map(|t| t.max(now))
+        // A queued request can only be scheduled once it is visible *and*
+        // the issue-ahead gate has cleared.
+        req_hint.map(|t| t.max(self.dram.gate_opens_at(self.clock, self.mc.lookahead_ns)).max(now))
     }
 
     /// Number of requests waiting in the input queue.

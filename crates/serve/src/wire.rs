@@ -24,15 +24,18 @@
 //!
 //! Errors are `{"ok":false,"error":"..."}`; a queue-full rejection
 //! additionally carries `retry_after_ms`, the explicit backpressure
-//! signal ([`crate::Rejection`]).
+//! signal ([`crate::Rejection`]). A request line longer than
+//! [`MAX_REQUEST_LINE`] bytes gets `{"ok":false,"error":"request line
+//! too long"}` and its connection is closed; other connections are
+//! unaffected.
 //!
 //! ## Events
 //!
 //! `{"event":"row","row":{...}}` per finished point (completion order,
 //! indexed), then `{"event":"end","job":N,"state":"Done"|"Cancelled"}`.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
 use hbm_core::cache::CacheSnapshot;
@@ -62,6 +65,58 @@ fn write_line_buf(
     write!(buf, "{v}").expect("String formatting is infallible");
     buf.push('\n');
     stream.write_all(buf.as_bytes())
+}
+
+/// Longest request line the server reads, `\n` excluded. A submit of
+/// 4 096 points — the default queue capacity, so the largest one
+/// admitted whole — encodes to about 2.7 MB; the cap leaves a ninefold
+/// margin while bounding what one client can make a handler buffer.
+pub const MAX_REQUEST_LINE: usize = 24 << 20;
+
+/// How one [`read_line_capped`] call ended.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum CappedLine {
+    /// A line is in the buffer, its `\n` or `\r\n` stripped (the last
+    /// line of a stream may lack one).
+    Line,
+    /// The stream ended before any byte.
+    Eof,
+    /// The line runs past the cap: `cap + 1` bytes of it were read and
+    /// the rest is still unread.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line into `buf` (cleared first), never
+/// holding more than `cap + 1` bytes of it.
+pub(crate) fn read_line_capped(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<CappedLine> {
+    buf.clear();
+    let n = reader.by_ref().take(cap as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(CappedLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(CappedLine::Line);
+    }
+    Ok(if n > cap { CappedLine::TooLong } else { CappedLine::Line })
+}
+
+/// Closes a connection whose request was refused without reading it to
+/// its end: the reply is flushed by a write-side shutdown, then at most
+/// `budget` unread bytes are discarded (for up to a second) so the close
+/// does not reset the connection under a reply the client has yet to
+/// read.
+pub(crate) fn refuse_and_close(stream: &TcpStream, reader: &mut impl Read, budget: u64) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = io::copy(&mut reader.take(budget), &mut io::sink());
 }
 
 fn err_line(msg: &str) -> Value {
@@ -135,20 +190,31 @@ fn accept_loop(listener: &TcpListener, handle: &ServeHandle) {
     }
 }
 
-/// Runs one connection's request/response conversation to EOF.
+/// Runs one connection's request/response conversation to EOF, or to
+/// the first request line longer than [`MAX_REQUEST_LINE`].
 fn handle_connection(stream: TcpStream, handle: &ServeHandle) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut writer = stream;
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     // One serialization buffer for the connection's lifetime: row
     // streaming reuses it instead of allocating per NDJSON line.
     let mut buf = String::new();
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut raw = Vec::new();
+    loop {
+        match read_line_capped(&mut reader, &mut raw, MAX_REQUEST_LINE) {
+            Ok(CappedLine::Line) => {}
+            Ok(CappedLine::TooLong) => {
+                let _ = write_line(&mut writer, &err_line("request line too long"));
+                refuse_and_close(&writer, &mut reader, MAX_REQUEST_LINE as u64);
+                return;
+            }
+            Ok(CappedLine::Eof) | Err(_) => return,
+        }
+        let Ok(line) = std::str::from_utf8(&raw) else { return };
         if line.trim().is_empty() {
             continue;
         }
-        let reply_ok = match serde_json::from_str::<Value>(&line) {
+        let reply_ok = match serde_json::from_str::<Value>(line) {
             Ok(req) => handle_request(&req, handle, &mut writer, &mut buf),
             Err(e) => write_line(&mut writer, &err_line(&format!("bad request: {e}"))).is_ok(),
         };
@@ -606,6 +672,69 @@ mod tests {
         assert_eq!(rows.len(), 1);
         wire.stop();
         server.shutdown();
+    }
+
+    /// Writes `len` bytes of `x` and a newline on a raw connection and
+    /// returns the connection's whole reply, read to EOF or, while the
+    /// connection stays open, to the first reply line.
+    fn send_long_line(addr: &str, len: usize) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut line = vec![b'x'; len];
+        line.push(b'\n');
+        stream.write_all(&line).unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn over_cap_line_is_refused_while_another_client_is_served() {
+        let (server, wire, addr) = start();
+        let mut bystander = Client::connect(&addr).unwrap();
+        // A line of exactly the cap is read and parsed (and is no JSON).
+        let at_cap = send_long_line(&addr, MAX_REQUEST_LINE);
+        assert!(at_cap.contains("bad request"), "reply: {at_cap}");
+        // One byte over is refused, and that connection alone is closed.
+        let mut over = TcpStream::connect(&addr).unwrap();
+        let mut line = vec![b'x'; MAX_REQUEST_LINE + 1];
+        line.push(b'\n');
+        over.write_all(&line).unwrap();
+        let mut reply = String::new();
+        BufReader::new(over).read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "{\"ok\":false,\"error\":\"request line too long\"}\n");
+        let id = bystander.submit(&spec("bystander", 1)).unwrap().unwrap();
+        let (rows, state) = bystander.collect(id).unwrap().unwrap();
+        assert_eq!((rows.len(), state), (1, JobState::Done));
+        wire.stop();
+        server.shutdown();
+    }
+
+    #[test]
+    fn largest_admissible_submit_fits_well_under_the_cap() {
+        let points = ServeConfig::default().queue_capacity;
+        let spec = spec("largest", points);
+        let line = json!({ "verb": "submit", "spec": spec }).to_string();
+        assert!(line.len() * 8 <= MAX_REQUEST_LINE, "{} bytes", line.len());
+        let mut buf = Vec::new();
+        let mut reader = io::Cursor::new(format!("{line}\n"));
+        assert_eq!(
+            read_line_capped(&mut reader, &mut buf, MAX_REQUEST_LINE).unwrap(),
+            CappedLine::Line
+        );
+        assert_eq!(buf.len(), line.len());
+    }
+
+    #[test]
+    fn capped_reader_splits_lines_at_the_cap() {
+        let mut reader = io::Cursor::new(b"ab\r\nabc\nabcd\nab".to_vec());
+        let mut buf = Vec::new();
+        let mut next = || (read_line_capped(&mut reader, &mut buf, 3).unwrap(), buf.clone());
+        assert_eq!(next(), (CappedLine::Line, b"ab".to_vec()));
+        assert_eq!(next(), (CappedLine::Line, b"abc".to_vec()));
+        assert_eq!(next(), (CappedLine::TooLong, b"abcd".to_vec()));
+        assert_eq!(next(), (CappedLine::Line, b"".to_vec()));
+        assert_eq!(next(), (CappedLine::Line, b"ab".to_vec()));
+        assert_eq!(next(), (CappedLine::Eof, b"".to_vec()));
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Per-master transaction stream generator.
 
-use hbm_axi::{
-    Addr, Cycle, Dir, MasterId, OutstandingTracker, Transaction, TxnBuilder, BEAT_BYTES,
-};
+use hbm_axi::{Addr, Cycle, Dir, MasterId, OutstandingTracker, Transaction, TxnBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,22 +98,6 @@ impl BmTrafficGen {
             && self.wl.rotation.is_multiple_of(self.num_masters)
     }
 
-    /// `true` when every burst is a single beat, so
-    /// [`poll_family`](Self::poll_family) may be instantiated with
-    /// `UNIT_BURST = true` (const-propagating the chunk size and deleting
-    /// the page-crossing branch from address legalisation).
-    pub fn unit_burst(&self) -> bool {
-        self.wl.burst.bytes() == BEAT_BYTES
-    }
-
-    /// `true` when the workload's rotation is a no-op modulo the master
-    /// count, so [`poll_family`](Self::poll_family) may be instantiated
-    /// with `ZERO_ROTATION = true` (the partition base becomes the
-    /// master's own index, no modular arithmetic).
-    pub fn zero_rotation(&self) -> bool {
-        self.wl.rotation.is_multiple_of(self.num_masters)
-    }
-
     /// Collected statistics.
     pub fn stats(&self) -> &GenStats {
         &self.stats
@@ -169,20 +151,6 @@ impl BmTrafficGen {
     /// Returns the head-of-line transaction to offer this cycle, if the
     /// stream and the outstanding limit allow one.
     pub fn poll(&mut self, now: Cycle) -> Option<Transaction> {
-        self.poll_family::<false, false>(now)
-    }
-
-    /// [`poll`](Self::poll) with workload-family facts baked in as const
-    /// generics, for monomorphised batch kernels. `UNIT_BURST` requires
-    /// [`unit_burst`](Self::unit_burst), `ZERO_ROTATION` requires
-    /// [`zero_rotation`](Self::zero_rotation) (both checked in debug
-    /// builds); `false` is always safe. Every instantiation produces
-    /// byte-identical transactions — the flags only replace runtime
-    /// loads with constants the optimiser can fold.
-    pub fn poll_family<const UNIT_BURST: bool, const ZERO_ROTATION: bool>(
-        &mut self,
-        now: Cycle,
-    ) -> Option<Transaction> {
         if self.pending.is_none() {
             if self.max_txns.is_some_and(|m| self.n >= m) {
                 return None;
@@ -191,7 +159,7 @@ impl BmTrafficGen {
             if !self.tracker.can_issue(dir) {
                 return None;
             }
-            let addr = self.gen_addr_family::<UNIT_BURST, ZERO_ROTATION>(dir);
+            let addr = self.gen_addr(dir);
             let id = self.tracker.pick_id(self.builder.issued());
             let txn = self
                 .builder
@@ -239,22 +207,8 @@ impl BmTrafficGen {
     /// Reads use the first half of the working set and writes the second,
     /// so mixed traffic reads and writes disjoint data (like a streaming
     /// kernel reading inputs and writing outputs).
-    ///
-    /// Monomorphised per workload family: with `UNIT_BURST` the chunk is
-    /// the compile-time beat size, which lets [`legalize`] fold away its
-    /// page-crossing branch; with `ZERO_ROTATION` the single-channel
-    /// base is the master index with no modulo. Identical addresses in
-    /// every instantiation (`<false, false>` is the fully generic path).
-    fn gen_addr_family<const UNIT_BURST: bool, const ZERO_ROTATION: bool>(
-        &mut self,
-        dir: Dir,
-    ) -> Addr {
-        let chunk = if UNIT_BURST {
-            debug_assert_eq!(self.wl.burst.bytes(), BEAT_BYTES);
-            BEAT_BYTES
-        } else {
-            self.wl.burst.bytes()
-        };
+    fn gen_addr(&mut self, dir: Dir) -> Addr {
+        let chunk = self.wl.burst.bytes();
         // Strided patterns split the working set into a read region and a
         // write region (streaming kernels read inputs, write outputs).
         // Random patterns scatter both directions over the whole set —
@@ -286,12 +240,7 @@ impl BmTrafficGen {
         };
         let base = match self.wl.pattern {
             Pattern::Scs | Pattern::Scra => {
-                let port = if ZERO_ROTATION {
-                    debug_assert!(self.wl.rotation.is_multiple_of(self.num_masters));
-                    self.master.idx()
-                } else {
-                    (self.master.idx() + self.wl.rotation) % self.num_masters
-                };
+                let port = (self.master.idx() + self.wl.rotation) % self.num_masters;
                 port as u64 * self.port_capacity
             }
             Pattern::Ccs | Pattern::Ccra => 0,
@@ -513,35 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn family_specialisation_is_byte_identical() {
-        use hbm_axi::BurstLen;
-        // A unit-burst, zero-rotation SCS workload qualifies for the
-        // fully specialised kernel; its stream must match the generic
-        // path exactly.
+    fn full_lap_rotation_is_port_affine() {
         let mut wl = Workload::scs();
-        wl.burst = BurstLen::of(1);
-        wl.stride = 32;
-        let mut generic = gen(wl, 9);
-        let mut special = gen(wl, 9);
-        assert!(special.unit_burst() && special.zero_rotation());
-        for now in 0..200u64 {
-            let a = generic.poll(now).unwrap();
-            generic.accepted();
-            generic.completed(now + 1, &a).unwrap();
-            let b = special.poll_family::<true, true>(now).unwrap();
-            special.accepted();
-            special.completed(now + 1, &b).unwrap();
-            assert_eq!(a, b);
-        }
-        // Rotation by a full lap is still zero-rotation.
-        let mut wl2 = wl;
-        wl2.rotation = 32;
-        let g2 = gen(wl2, 9);
-        assert!(g2.zero_rotation() && g2.port_affine());
-        // A genuinely rotated workload is not.
-        let mut wl3 = wl;
-        wl3.rotation = 3;
-        assert!(!gen(wl3, 9).zero_rotation());
+        wl.rotation = 32;
+        assert!(gen(wl, 9).port_affine());
+        wl.rotation = 3;
+        assert!(!gen(wl, 9).port_affine());
     }
 
     #[test]

@@ -72,8 +72,7 @@ validate_exposition() {
   for series in \
     hbm_cache_hits_total hbm_cache_misses_total hbm_cache_coalesced_total \
     hbm_serve_queue_wait_us hbm_serve_jobs_total hbm_serve_queued_points \
-    hbm_serve_workers hbm_run_measurements_total hbm_kernel_phase_ns_total \
-    hbm_batch_grids_total; do
+    hbm_serve_workers hbm_run_measurements_total hbm_kernel_phase_ns_total; do
     grep -q "^# TYPE ${series} " "$f" || { echo "exposition missing ${series}"; exit 1; }
   done
   # HELP precedes TYPE for every family.

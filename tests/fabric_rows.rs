@@ -1,23 +1,31 @@
-//! Golden pin of MAO and full-crossbar rows.
+//! Golden pin of rows on every fabric.
 //!
 //! The equivalence suites compare execution paths *within* one build, so
-//! a change to the fabrics' arbitration that moved every path the same
-//! way would pass them all. This test pins a dozen-odd measurements —
-//! Fig. 6 reorder depths, the Table IV MAO cells, a one-stage MAO, and
-//! the full crossbar at two burst lengths — byte-for-byte at a short
-//! window, so any change in which flit wins which grant shows up as a
-//! diff. Regenerate intentionally with
+//! a change to the fabrics' arbitration or to the reference step itself
+//! that moved every path the same way would pass them all. Two tests pin
+//! a dozen-odd measurements each byte-for-byte at a short window, so any
+//! change in which flit wins which grant shows up as a diff:
+//!
+//! - MAO and full crossbar: Fig. 6 reorder depths, the Table IV MAO
+//!   cells, a one-stage MAO, and the full crossbar at two burst lengths.
+//! - Xilinx switch and direct fabric: the points where most components
+//!   sit blocked or idle — the CCS hot spot, CCRA, lateral rotations,
+//!   SCRA at one outstanding transaction, SCS at burst length 1, and the
+//!   direct fabric.
+//!
+//! Regenerate intentionally with
 //!
 //! ```text
 //! REGEN_GOLDEN=1 cargo test --test fabric_rows
 //! ```
 //!
-//! and review the diff of `tests/golden/fabric_rows.json`.
+//! and review the diff of `tests/golden/*_rows.json`.
 
 use hbm_fpga::core::prelude::*;
 use hbm_fpga::mao::MaoConfig;
 
 const GOLDEN: &str = "tests/golden/fabric_rows.json";
+const XILINX_GOLDEN: &str = "tests/golden/xilinx_rows.json";
 const WARMUP: u64 = 500;
 const CYCLES: u64 = 3_000;
 
@@ -54,12 +62,37 @@ fn points() -> Vec<(String, SystemConfig, Workload)> {
     pts
 }
 
+fn xilinx_points() -> Vec<(String, SystemConfig, Workload)> {
+    let xilinx = SystemConfig::xilinx();
+    let mut pts = Vec::new();
+    for (dir, rw) in
+        [("rd", RwRatio::READ_ONLY), ("wr", RwRatio::WRITE_ONLY), ("both", RwRatio::TWO_TO_ONE)]
+    {
+        pts.push((format!("xilinx/ccs/{dir}"), xilinx.clone(), Workload { rw, ..Workload::ccs() }));
+    }
+    pts.push(("xilinx/ccra/both".to_string(), xilinx.clone(), Workload::ccra()));
+    for rotation in [1usize, 2, 4, 8] {
+        let wl = Workload { rotation, ..Workload::scs() };
+        pts.push((format!("xilinx/scs/rot{rotation}"), xilinx.clone(), wl));
+    }
+    let wl = Workload { outstanding: 1, num_ids: 1, ..Workload::scra() };
+    pts.push(("xilinx/scra/out1".to_string(), xilinx.clone(), wl));
+    let wl = Workload { burst: BurstLen::of(1), ..Workload::scs() };
+    pts.push(("xilinx/scs/bl1".to_string(), xilinx, wl));
+    let direct = SystemConfig::direct();
+    for bl in [1u8, 16] {
+        let wl = Workload { burst: BurstLen::of(bl), ..Workload::scra() };
+        pts.push((format!("direct/scra/bl{bl}"), direct.clone(), wl));
+    }
+    pts
+}
+
 /// One JSON object per line: the point's name, its measurement
 /// (aggregate generator stats with latency histograms, DRAM and fabric
 /// counters), and each master's completed count in place of the full
 /// per-master stats, which would multiply the file's size by 30.
-fn rows() -> String {
-    let lines: Vec<String> = points()
+fn rows(points: Vec<(String, SystemConfig, Workload)>) -> String {
+    let lines: Vec<String> = points
         .into_iter()
         .map(|(name, cfg, wl)| {
             let mut m = measure(&cfg, wl, WARMUP, CYCLES);
@@ -76,10 +109,8 @@ fn rows() -> String {
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-#[test]
-fn fabric_rows_match_golden() {
-    let got = rows();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+fn check_golden(golden: &str, got: String) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &got).expect("write golden");
     }
@@ -87,7 +118,17 @@ fn fabric_rows_match_golden() {
         .expect("golden file missing — regenerate with REGEN_GOLDEN=1");
     assert_eq!(
         got, want,
-        "MAO / full-crossbar rows drifted from {GOLDEN}; if intentional, \
-         regenerate with REGEN_GOLDEN=1 and review the diff"
+        "rows drifted from {golden}; if intentional, regenerate with \
+         REGEN_GOLDEN=1 and review the diff"
     );
+}
+
+#[test]
+fn fabric_rows_match_golden() {
+    check_golden(GOLDEN, rows(points()));
+}
+
+#[test]
+fn xilinx_and_direct_rows_match_golden() {
+    check_golden(XILINX_GOLDEN, rows(xilinx_points()));
 }

@@ -1,6 +1,6 @@
-//! Event-horizon fast-forwarding must be invisible: a system driven by
-//! `run` / `run_until_drained` (which skip provably-idle gaps and use the
-//! pacer's blind-step credit) must end in exactly the same state as one
+//! Fast-forwarding must be invisible: a system driven by `run` /
+//! `run_until_drained` (the wake-driven kernel, which skips provably idle
+//! cycles and components) must end in exactly the same state as one
 //! stepped naively cycle by cycle.
 //!
 //! "Exactly" means bit-identical: final cycle count, every generator's

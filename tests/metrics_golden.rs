@@ -25,8 +25,8 @@ use hbm_fpga::traffic::Workload;
 const GOLDEN: &str = "tests/golden/metrics_exposition.txt";
 
 /// Runs one tiny job through a wire server so every lazily-registered
-/// series (serve owned counters, depth gauges, planner/run/kernel-phase
-/// series) exists, then returns the `metrics` verb's exposition and the
+/// series (serve owned counters, depth gauges, run/kernel-phase series)
+/// exists, then returns the `metrics` verb's exposition and the
 /// `spans` verb's entries.
 fn scrape_after_session() -> (String, usize) {
     let server = Server::spawn(ServeConfig {
@@ -44,11 +44,9 @@ fn scrape_after_session() -> (String, usize) {
     let (rows, _) = client.collect(job).expect("stream").expect("known job");
     assert_eq!(rows.len(), 1);
 
-    // Publish one profiled window per kernel so the phase counters carry
-    // the full label space before the scrape.
+    // Publish one profiled window so the phase counters carry the full
+    // label space before the scrape.
     hbm_fpga::core::profile::begin(hbm_fpga::core::profile::Kernel::Scalar);
-    hbm_fpga::core::profile::end();
-    hbm_fpga::core::profile::begin(hbm_fpga::core::profile::Kernel::Lockstep);
     hbm_fpga::core::profile::end();
 
     let exposition = client.metrics().expect("metrics verb");

@@ -83,6 +83,13 @@ fn parallel(cfg: &SystemConfig, wl: Workload, per_master: u64, jobs: usize) -> H
     sys
 }
 
+/// The reference path (the default policy is the wake-driven kernel).
+fn sequential(cfg: &SystemConfig, wl: Workload, per_master: u64) -> HbmSystem {
+    let mut sys = HbmSystem::new(cfg, wl, Some(per_master));
+    sys.set_run_policy(RunPolicy::Sequential);
+    sys
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -105,7 +112,7 @@ mod proptests {
             let wl = workload_for(fabric_sel, pattern_sel, rotation, outstanding, 4, seed);
 
             let mut par = parallel(&cfg, wl, per_master, jobs);
-            let mut seq = HbmSystem::new(&cfg, wl, Some(per_master));
+            let mut seq = sequential(&cfg, wl, per_master);
 
             let ok_par = par.run_until_drained(3_000_000);
             let ok_seq = seq.run_until_drained(3_000_000);
@@ -133,7 +140,7 @@ mod proptests {
             let wl = workload_for(fabric_sel, pattern_sel, rotation, 4, 4, seed);
 
             let mut par = parallel(&cfg, wl, per_master, jobs);
-            let mut seq = HbmSystem::new(&cfg, wl, Some(per_master));
+            let mut seq = sequential(&cfg, wl, per_master);
 
             for _ in 0..6 {
                 par.run(window);
@@ -168,7 +175,7 @@ mod proptests {
                 (fingerprint(&sys), chrome_trace_json(&tracer, sys.probe(), sys.clock()))
             };
             let (fp_par, json_par) = run(parallel(&cfg, wl, per_master, jobs));
-            let (fp_seq, json_seq) = run(HbmSystem::new(&cfg, wl, Some(per_master)));
+            let (fp_seq, json_seq) = run(sequential(&cfg, wl, per_master));
 
             prop_assert_eq!(fp_par, fp_seq);
             prop_assert_eq!(json_par, json_seq);
@@ -180,8 +187,8 @@ mod edge_cases {
     use super::*;
 
     /// Monolithic fabrics have no shard decomposition: the parallel
-    /// policy must fall back to the sequential path rather than panic,
-    /// and stay deterministic.
+    /// policy runs them as one domain, whatever the job count, and
+    /// matches the sequential path.
     #[test]
     fn parallel_policy_on_monolithic_fabric_falls_back() {
         let run = |policy| {
@@ -226,7 +233,7 @@ mod edge_cases {
     fn alternating_policies_match_pure_sequential() {
         let wl = Workload { rotation: 4, ..Workload::scs() };
         let mut mixed = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
-        let mut seq = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
+        let mut seq = sequential(&SystemConfig::xilinx(), wl, 64);
         for i in 0..8 {
             let policy =
                 if i % 2 == 0 { RunPolicy::Parallel { jobs: 3 } } else { RunPolicy::Sequential };
