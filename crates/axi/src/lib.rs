@@ -17,8 +17,8 @@
 //!   AXI same-ID ordering rule,
 //! * [`BeatCounter`] — burst payload accounting in 32-byte beats,
 //! * [`instrument`] — opt-in per-transaction lifecycle tracing and latency
-//!   attribution (a `(master, seq)`-keyed side-table of stamps; zero cost
-//!   when no tracer is attached).
+//!   attribution (per-master lists of stamp records found by
+//!   `(master, seq)`; zero cost when tracing is off).
 //!
 //! All higher-level crates (`hbm-mem`, `hbm-fabric`, `hbm-mao`) move
 //! [`Transaction`]s and beats through [`DelayQueue`]s, so timing semantics
@@ -47,7 +47,7 @@ pub mod transaction;
 pub mod types;
 
 pub use clock::ClockDomain;
-pub use instrument::{Attribution, SharedTracer, Tracer, TxnKey, TxnRecord};
+pub use instrument::{Attribution, Tracer, TxnRecord};
 pub use queue::{DelayQueue, StampedRing};
 pub use tracker::OutstandingTracker;
 pub use transaction::{Completion, Transaction, TxnBuilder, TxnError};

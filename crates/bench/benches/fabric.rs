@@ -76,7 +76,7 @@ fn drive<F: Interconnect>(f: &mut F, shape: Shape) -> u64 {
             });
             *slot = f.offer_request(now, txn).err();
         }
-        f.tick(now);
+        f.tick(now, None);
         for (p, slot) in held.iter_mut().enumerate() {
             let port = PortId(p as u16);
             if slot.is_none() {

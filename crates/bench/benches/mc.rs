@@ -90,7 +90,7 @@ fn drive_scalar(cfg: &HbmConfig, shape: Shape) -> u64 {
             m.accept(now, txn);
             i += 1;
         }
-        m.tick(now, &mut banks);
+        m.tick(now, &mut banks, None);
         while m.pop_completion(now).is_some() {
             popped += 1;
         }

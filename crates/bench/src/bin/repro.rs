@@ -128,23 +128,11 @@ fn run_json(fid: Fidelity, want: impl Fn(&str) -> bool) {
 fn run_simspeed(quick: bool, json: bool) {
     use hbm_bench::{profilecmd, simspeed};
     let rows = simspeed::run_matrix(quick);
-    let sweeps = simspeed::run_sweep_matrix(quick);
-    let conductor = simspeed::run_conductor_matrix(quick);
-    let serve = simspeed::run_serve_overhead(quick);
-    let cache = simspeed::run_cache_matrix(quick);
     let analytical = simspeed::run_analytical_matrix(quick);
     let profile = profilecmd::run_profile(quick);
     let payload = serde_json::json!({
         "experiment": "simspeed",
-        "host_threads": hbm_core::batch::default_threads(),
         "rows": rows,
-        "sweeps": sweeps,
-        "conductor": conductor,
-        "serve": serve,
-        "serve_overhead_pct": serve.serve_overhead_pct,
-        "cache": cache,
-        "cache_cold_wall_s": cache.cold_wall_s,
-        "cache_warm_wall_s": cache.warm_wall_s,
         "analytical": analytical,
         "analytical_speedup_vs_quick": analytical.speedup_vs_quick,
         "adaptive_escalation_fraction": analytical.adaptive_escalation_fraction,
@@ -157,10 +145,6 @@ fn run_simspeed(quick: bool, json: bool) {
         println!("{payload}");
     } else {
         println!("{}", simspeed::render(&rows));
-        println!("{}", simspeed::render_sweeps(&sweeps));
-        println!("{}", simspeed::render_conductor(&conductor));
-        println!("{}", simspeed::render_serve(&serve));
-        println!("{}", simspeed::render_cache(&cache));
         println!("{}", simspeed::render_analytical(&analytical));
         println!("{}", profilecmd::render(&profile));
         println!("wrote BENCH_simspeed.json");
@@ -198,7 +182,7 @@ fn run_profile(quick: bool, json: bool, smoke: bool) {
     } else {
         println!("{}", profilecmd::render(&out));
         if smoke {
-            println!("profile smoke: OK (both kernels consistent, metrics overhead in budget)");
+            println!("profile smoke: OK (kernel consistent, metrics overhead in budget)");
         }
     }
 }

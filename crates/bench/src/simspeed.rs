@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use hbm_axi::BurstLen;
 use hbm_core::probe::ProbeConfig;
-use hbm_core::{HbmSystem, RunPolicy, SystemConfig};
+use hbm_core::{HbmSystem, SystemConfig};
 use hbm_traffic::{RwRatio, Workload};
 use serde::Serialize;
 
@@ -182,346 +182,6 @@ fn row(
         traced_cycles_per_sec: sim_cycles as f64 / traced_wall_s.max(1e-12),
         overhead_pct: 100.0 * (traced_wall_s / wall_s.max(1e-12) - 1.0),
     }
-}
-
-/// One measured sweep-farming cell: the same multi-point measurement
-/// grid run with a given worker-thread count.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepRow {
-    /// Grid points in the sweep.
-    pub points: usize,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Wall time for the whole grid, in seconds.
-    pub wall_s: f64,
-    /// Wall-clock speedup over the single-worker run of the same grid.
-    pub speedup: f64,
-}
-
-/// Times a multi-point sweep — the Fig. 4 rotation grid — farmed over
-/// 1, 2, and 4 worker threads with `hbm_core::batch::run_grid`. Every
-/// point is an independent deterministic simulation, so on a multi-core
-/// host the speedup approaches `min(jobs, cores, points)`; on a
-/// single-core host it stays ≈ 1 (thread scheduling cannot create
-/// cores). The recorded numbers are whatever the current host delivers.
-pub fn run_sweep_matrix(quick: bool) -> Vec<SweepRow> {
-    let (warmup, cycles) = if quick { (500, 1_500) } else { (2_000, 8_000) };
-    let points: Vec<(SystemConfig, Workload)> = [0usize, 1, 2, 3, 4, 6, 8]
-        .iter()
-        .map(|&rotation| (SystemConfig::xilinx(), Workload { rotation, ..Workload::scs() }))
-        .collect();
-    let mut base = f64::NAN;
-    [1usize, 2, 4]
-        .iter()
-        .map(|&jobs| {
-            let t0 = Instant::now();
-            let out = hbm_core::batch::run_grid(&points, warmup, cycles, jobs);
-            let wall_s = t0.elapsed().as_secs_f64();
-            assert_eq!(out.len(), points.len());
-            if jobs == 1 {
-                base = wall_s;
-            }
-            SweepRow { points: points.len(), jobs, wall_s, speedup: base / wall_s.max(1e-12) }
-        })
-        .collect()
-}
-
-/// One measured parallel-conductor cell: a single simulation advanced
-/// under `RunPolicy::Parallel { jobs }` vs the sequential reference.
-#[derive(Debug, Clone, Serialize)]
-pub struct ConductorRow {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Worker threads (1 = the sequential reference path).
-    pub jobs: usize,
-    /// Simulated cycles covered by one run.
-    pub sim_cycles: u64,
-    /// Best-of-N wall time for one run, in seconds.
-    pub wall_s: f64,
-    /// Wall-clock speedup over the sequential run of the same scenario.
-    pub speedup: f64,
-}
-
-/// Times a single saturated Xilinx simulation under the sharded
-/// conductor at 1/2/4 worker threads. `scs_port_affine` never touches a
-/// lateral bus, so the conductor sprints full-span windows — the
-/// best case for in-run threading. `rotation4_lateral` saturates the
-/// lateral boundaries, forcing a barrier every `sync_lag` cycles — the
-/// worst case, expected at or below 1× (the result is still
-/// bit-identical; the threading merely doesn't pay there).
-pub fn run_conductor_matrix(quick: bool) -> Vec<ConductorRow> {
-    let cycles = if quick { 5_000 } else { 40_000 };
-    let repeats = if quick { 1 } else { 3 };
-    let mut rows = Vec::new();
-    for (scenario, wl) in [
-        ("scs_port_affine", Workload::scs()),
-        ("rotation4_lateral", Workload { rotation: 4, ..Workload::scs() }),
-    ] {
-        let mut base = f64::NAN;
-        for jobs in [1usize, 2, 4] {
-            let (sim_cycles, wall_s) = wall_best_of(repeats, || {
-                let mut sys = HbmSystem::new(&SystemConfig::xilinx(), wl, None);
-                if jobs > 1 {
-                    sys.set_run_policy(RunPolicy::Parallel { jobs });
-                }
-                sys.run(cycles);
-                sys.now()
-            });
-            if jobs == 1 {
-                base = wall_s;
-            }
-            rows.push(ConductorRow {
-                scenario,
-                jobs,
-                sim_cycles,
-                wall_s,
-                speedup: base / wall_s.max(1e-12),
-            });
-        }
-    }
-    rows
-}
-
-/// The serving-layer overhead measurement: the same fig4 grid timed
-/// through the direct `run_grid` path and through a full serve round
-/// trip (submit over loopback TCP, stream the rows back, reassemble by
-/// index).
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeOverheadRow {
-    /// Grid points in the job (the Fig. 4 rotation grid).
-    pub points: usize,
-    /// Worker threads on both paths.
-    pub jobs: usize,
-    /// Wall time of the direct `hbm_core::batch::run_grid` call, in
-    /// seconds.
-    pub direct_wall_s: f64,
-    /// Wall time submit → last streamed row over loopback TCP, in
-    /// seconds.
-    pub served_wall_s: f64,
-    /// Serving overhead: `served_wall_s / direct_wall_s − 1`, in
-    /// percent. The scheduler + wire cost, since both paths run the
-    /// same measurements on the same worker count.
-    pub serve_overhead_pct: f64,
-}
-
-/// Times the Fig. 4 grid direct vs served and verifies along the way
-/// that the streamed measurements are byte-identical to the direct ones
-/// (the serving layer's core guarantee — a benchmark that silently
-/// measured diverging work would be meaningless).
-///
-/// Both paths get one untimed warm-up pass (thread-pool spin-up, first
-/// TCP accept, allocator growth), and the timed passes interleave the
-/// two sides in ABBA order — direct-then-served one round,
-/// served-then-direct the next — with best-of-N on each side. Warm-up
-/// removes the cold-process penalty from whichever side runs first;
-/// the alternation cancels monotonic clock-speed drift across the
-/// measurement window. Together they make the reported overhead an
-/// honest scheduler + wire cost rather than an artefact of run order
-/// (a negative overhead is an impossibility — both sides simulate the
-/// exact same points). The result cache is pinned *off* on both sides
-/// — a warm cache on either would turn the comparison into a cache
-/// benchmark.
-pub fn run_serve_overhead(quick: bool) -> ServeOverheadRow {
-    use hbm_serve::{Client, JobSpec, ResultCache, RowStatus, ServeConfig, Server, WireServer};
-
-    let fid = if quick {
-        hbm_core::experiment::Fidelity::cycle(500, 1_500)
-    } else {
-        hbm_core::experiment::Fidelity::cycle(2_000, 8_000)
-    };
-    let grid = hbm_core::experiment::fig4_grid();
-    let jobs = hbm_core::batch::sweep_jobs();
-    let rounds = if quick { 2 } else { 4 };
-    let no_cache = ResultCache::disabled();
-
-    let server = Server::spawn(ServeConfig {
-        workers: jobs,
-        cache: Some(ResultCache::disabled()),
-        ..ServeConfig::default()
-    });
-    let wire = WireServer::bind("127.0.0.1:0", server.handle()).expect("bind loopback");
-    let mut client = Client::connect(&wire.local_addr().to_string()).expect("connect loopback");
-
-    let run_direct =
-        || hbm_core::batch::run_grid_with_cache(&grid, fid.warmup, fid.cycles, jobs, &no_cache);
-    let mut round_no = 0usize;
-    let mut run_served = |client: &mut Client| {
-        round_no += 1;
-        let job = client
-            .submit(&JobSpec::new(format!("fig4-overhead-{round_no}"), fid, grid.clone()))
-            .expect("submit over wire")
-            .expect("grid fits an empty queue");
-        let (rows, _) = client.collect(job).expect("stream rows").expect("known job");
-        rows
-    };
-
-    // Untimed warm-up of both paths; the direct pass doubles as the
-    // byte-identity reference.
-    let direct = run_direct();
-    let _ = run_served(&mut client);
-
-    let mut direct_wall_s = f64::INFINITY;
-    let mut served_wall_s = f64::INFINITY;
-    let mut rows = Vec::new();
-    for round in 0..rounds {
-        let time_direct = |direct_wall_s: &mut f64| {
-            let t0 = Instant::now();
-            let d = run_direct();
-            *direct_wall_s = direct_wall_s.min(t0.elapsed().as_secs_f64());
-            debug_assert_eq!(d.len(), direct.len());
-        };
-        let mut time_served = |served_wall_s: &mut f64, rows: &mut Vec<_>| {
-            let t0 = Instant::now();
-            *rows = run_served(&mut client);
-            *served_wall_s = served_wall_s.min(t0.elapsed().as_secs_f64());
-        };
-        if round % 2 == 0 {
-            time_direct(&mut direct_wall_s);
-            time_served(&mut served_wall_s, &mut rows);
-        } else {
-            time_served(&mut served_wall_s, &mut rows);
-            time_direct(&mut direct_wall_s);
-        }
-    }
-    wire.stop();
-    server.shutdown();
-
-    assert_eq!(rows.len(), direct.len());
-    for (row, want) in rows.iter().zip(&direct) {
-        assert_eq!(row.status, RowStatus::Done, "served point must succeed");
-        let got = row.measurement.as_ref().expect("Done row carries a measurement");
-        assert_eq!(
-            serde_json::to_string(got).unwrap(),
-            serde_json::to_string(want).unwrap(),
-            "served row {} diverged from the direct path",
-            row.index
-        );
-    }
-
-    ServeOverheadRow {
-        points: grid.len(),
-        jobs,
-        direct_wall_s,
-        served_wall_s,
-        serve_overhead_pct: 100.0 * (served_wall_s / direct_wall_s.max(1e-12) - 1.0),
-    }
-}
-
-/// One cold/warm pair through the result cache: the fig4 grid run twice
-/// against the same (memory-tier) [`hbm_core::ResultCache`].
-#[derive(Debug, Clone, Serialize)]
-pub struct CacheRow {
-    /// Grid points in the sweep (the Fig. 4 rotation grid).
-    pub points: usize,
-    /// Worker threads on both runs.
-    pub jobs: usize,
-    /// Wall time of the first (all-miss) run, in seconds.
-    pub cold_wall_s: f64,
-    /// Wall time of the second (all-hit) run, in seconds.
-    pub warm_wall_s: f64,
-    /// `cold_wall_s / warm_wall_s` — how much the cache buys on an
-    /// exact rerun.
-    pub speedup: f64,
-    /// Cache hits observed on the warm run (must equal `points`).
-    pub warm_hits: u64,
-    /// Whether the warm rows serialised byte-identical to the cold ones
-    /// (asserted — recorded here so the JSON artefact carries the
-    /// proof).
-    pub byte_identical: bool,
-}
-
-/// Runs the fig4 grid cold then warm through a private result cache and
-/// proves the warm rows byte-identical to the cold ones. Uses a local
-/// cache instance, so the benchmark neither reads nor pollutes whatever
-/// `HBM_CACHE_DIR` the process was started with.
-pub fn run_cache_matrix(quick: bool) -> CacheRow {
-    use hbm_core::ResultCache;
-
-    let (warmup, cycles) = if quick { (500, 1_500) } else { (2_000, 8_000) };
-    let grid = hbm_core::experiment::fig4_grid();
-    let jobs = hbm_core::batch::sweep_jobs();
-    let cache = ResultCache::new();
-
-    let t0 = Instant::now();
-    let cold = hbm_core::batch::run_grid_with_cache(&grid, warmup, cycles, jobs, &cache);
-    let cold_wall_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let warm = hbm_core::batch::run_grid_with_cache(&grid, warmup, cycles, jobs, &cache);
-    let warm_wall_s = t0.elapsed().as_secs_f64();
-
-    assert_eq!(warm.len(), cold.len());
-    for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
-        assert_eq!(
-            serde_json::to_string(w).unwrap(),
-            serde_json::to_string(c).unwrap(),
-            "warm row {i} diverged from the cold run"
-        );
-    }
-    let snap = cache.snapshot();
-    assert_eq!(snap.hits, grid.len() as u64, "warm run must hit on every point");
-
-    CacheRow {
-        points: grid.len(),
-        jobs,
-        cold_wall_s,
-        warm_wall_s,
-        speedup: cold_wall_s / warm_wall_s.max(1e-12),
-        warm_hits: snap.hits,
-        byte_identical: true,
-    }
-}
-
-/// Renders the cache cold/warm section as an aligned text table.
-pub fn render_cache(row: &CacheRow) -> String {
-    format!(
-        "Result cache (fig4 grid, cold run vs exact warm rerun; warm rows\n\
-         proven byte-identical to cold)\n\
-         points  jobs      cold_s      warm_s   speedup  warm_hits\n\
-         {:>6} {:>5} {:>11.6} {:>11.6} {:>8.1}x {:>10}\n",
-        row.points, row.jobs, row.cold_wall_s, row.warm_wall_s, row.speedup, row.warm_hits
-    )
-}
-
-/// Renders the serving-overhead section as an aligned text table.
-pub fn render_serve(row: &ServeOverheadRow) -> String {
-    format!(
-        "Serving overhead (fig4 grid: direct run_grid vs full TCP serve round trip)\n\
-         points  jobs    direct_s    served_s  overhead\n\
-         {:>6} {:>5} {:>11.6} {:>11.6} {:>+8.1}%\n",
-        row.points, row.jobs, row.direct_wall_s, row.served_wall_s, row.serve_overhead_pct
-    )
-}
-
-/// Renders the sweep-farming section as an aligned text table.
-pub fn render_sweeps(rows: &[SweepRow]) -> String {
-    let mut out = String::from(
-        "Sweep farming (same measurement grid, more worker threads)\n\
-         points  jobs      wall_s   speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} {:>5} {:>11.6} {:>8.2}x\n",
-            r.points, r.jobs, r.wall_s, r.speedup
-        ));
-    }
-    out
-}
-
-/// Renders the parallel-conductor section as an aligned text table.
-pub fn render_conductor(rows: &[ConductorRow]) -> String {
-    let mut out = String::from(
-        "Parallel conductor (one simulation, sharded across threads;\n\
-         bit-identical to sequential by construction)\n\
-         scenario            jobs  sim_cycles      wall_s   speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<19} {:>4} {:>11} {:>11.6} {:>8.2}x\n",
-            r.scenario, r.jobs, r.sim_cycles, r.wall_s, r.speedup
-        ));
-    }
-    out
 }
 
 /// The analytical-tier speed matrix: one pinned 10 000-point sweep grid

@@ -42,8 +42,7 @@
 //!
 //! Profiling is per-thread: [`begin`]/[`end`] must bracket a run on the
 //! *same* thread (`measure` runs on the caller's thread, so `repro
-//! profile` just wraps it). Execution domains advanced on worker threads
-//! lap nothing; their time lands in the caller's `horizon_compute`.
+//! profile` just wraps it).
 
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;

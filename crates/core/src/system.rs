@@ -1,8 +1,6 @@
 //! The assembled HBM system and its cycle-driven simulation loop.
 
-use hbm_axi::{
-    ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Tracer, Transaction,
-};
+use hbm_axi::{ClockDomain, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 use hbm_fabric::{
     DirectFabric, FabricConfig, FabricStats, FullCrossbarFabric, Interconnect, Retry, SwitchShard,
     XilinxFabric,
@@ -150,11 +148,7 @@ impl SystemConfig {
 /// a rejected offer until the fabric's retry hint or a completion. A
 /// `poll` that returns nothing, or that repeats a rejected transaction,
 /// must therefore be free of side effects.
-///
-/// Sources must be [`Send`]: under [`RunPolicy::Parallel`] each
-/// execution domain — including its traffic sources — may be advanced
-/// on a worker thread.
-pub trait TrafficSource: Send {
+pub trait TrafficSource {
     /// The head-of-line transaction to offer this cycle, if any.
     fn poll(&mut self, now: Cycle) -> Option<hbm_axi::Transaction>;
 
@@ -198,8 +192,8 @@ pub trait TrafficSource: Send {
 
     /// `true` when every transaction this source will *ever* issue
     /// targets the pseudo-channel port with the source's own master
-    /// index. Under such traffic no flit can cross a lateral bus, so a
-    /// parallel conductor may sprint execution domains all the way to
+    /// index. Under such traffic no flit can cross a lateral bus, so the
+    /// wake-driven kernel may sprint execution domains all the way to
     /// the deadline between barriers instead of re-synchronising every
     /// `sync_lag` cycles. The hint must be conservative: `false` is
     /// always safe, while a wrong `true` breaks cycle accuracy. The
@@ -251,28 +245,18 @@ impl TrafficSource for BmTrafficGen {
 /// the simulation. Both produce bit-identical state at every cycle
 /// boundary (the `fastpath_equivalence`, `parallel_equivalence` and
 /// `wake_equivalence` tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RunPolicy {
     /// The reference: the whole system stepped cycle by cycle through
     /// [`HbmSystem::step`], skipping only cycles in which nothing at all
     /// can happen. The equivalence suites compare against it.
     Sequential,
-    /// The wake-driven kernel (DESIGN.md §3.12). A sharded fabric runs
-    /// as per-switch execution domains between lateral-synchronisation
-    /// barriers (DESIGN.md §3.3), on up to `jobs` OS threads; a
-    /// monolithic fabric runs as one domain. The default, at one job.
-    Parallel {
-        /// Worker-thread budget; clamped to at least 1. Windows too
-        /// narrow to amortise a thread spawn are advanced inline
-        /// regardless.
-        jobs: usize,
-    },
-}
-
-impl Default for RunPolicy {
-    fn default() -> RunPolicy {
-        RunPolicy::Parallel { jobs: 1 }
-    }
+    /// The wake-driven kernel (DESIGN.md §3.12), the default. A sharded
+    /// fabric runs as per-switch execution domains, advanced one after
+    /// another between lateral-synchronisation barriers (DESIGN.md
+    /// §3.3); a monolithic fabric runs as one domain.
+    #[default]
+    Wake,
 }
 
 /// Amortises a domain's horizon over busy stretches.
@@ -326,7 +310,7 @@ pub struct HbmSystem {
     mcs: Vec<MemoryController>,
     /// Bank row state for every pseudo-channel, structure-of-arrays (unit
     /// `p` belongs to controller `p`). Owned here rather than inside the
-    /// controllers so the parallel conductor can lend each shard its
+    /// controllers so the kernel can lend each execution domain its
     /// contiguous slice of units.
     banks: BankPool,
     /// Completions produced by a controller that could not yet enter the
@@ -341,9 +325,10 @@ pub struct HbmSystem {
     port_wake: Vec<Cycle>,
     now: Cycle,
     /// Lifecycle tracer, when tracing is enabled (see
-    /// [`enable_tracing`](HbmSystem::enable_tracing)). `None` keeps every
-    /// stamp site a single branch — the hot loop is unchanged.
-    tracer: Option<SharedTracer>,
+    /// [`enable_tracing`](HbmSystem::enable_tracing)), lent by `&mut` to
+    /// each call that takes a stamp. `None` keeps every stamp site a
+    /// single branch — the hot loop is unchanged.
+    tracer: Option<Tracer>,
     /// Windowed time-series sampler, when attached.
     probe: Option<Probe>,
     /// Execution policy for [`run`](HbmSystem::run) and
@@ -437,33 +422,25 @@ impl HbmSystem {
         &self.cfg
     }
 
-    /// Turns on per-transaction lifecycle tracing, keeping at most
-    /// `record_cap` completed records. The tracer is attached to the
-    /// interconnect and every memory controller; the returned handle can
-    /// be inspected at any time (e.g. by `hbm_core::export`). Tracing is
-    /// observation-only: a traced run is bit-identical to an untraced one
-    /// (enforced by the `fastpath_equivalence` property tests).
-    ///
-    /// On a sharded fabric the tracer is partitioned per execution
-    /// domain (`record_cap` completed records per partition), so
-    /// concurrent domains never contend on one lock;
-    /// [`SharedTracer::snapshot`] merges partitions back into the
-    /// monolithic delivery order.
-    pub fn enable_tracing(&mut self, record_cap: usize) -> SharedTracer {
-        let tracer = match self.fabric.shard_layout() {
-            Some(l) => Tracer::sharded(record_cap, l.shards, l.masters_per_shard),
-            None => Tracer::shared(record_cap),
-        };
-        self.fabric.attach_tracer(tracer.clone());
-        for (p, mc) in self.mcs.iter_mut().enumerate() {
-            mc.attach_tracer(p as u16, tracer.clone());
-        }
-        self.tracer = Some(tracer.clone());
-        tracer
+    /// Turns on per-transaction lifecycle tracing, keeping up to
+    /// `record_cap` delivered records per execution domain (one per
+    /// switch of a sharded fabric, one in all on a monolithic fabric).
+    /// The system owns the tracer; inspect it through
+    /// [`tracer`](HbmSystem::tracer) (e.g. by `hbm_core::export`).
+    /// Tracing is observation-only: a traced run is bit-identical to an
+    /// untraced one (enforced by the `fastpath_equivalence` property
+    /// tests).
+    pub fn enable_tracing(&mut self, record_cap: usize) {
+        self.tracer = Some(match self.fabric.shard_layout() {
+            Some(l) => Tracer::per_domain(record_cap, l.masters_per_shard),
+            None => Tracer::new(record_cap),
+        });
     }
 
-    /// The tracer handle, when tracing is enabled.
-    pub fn tracer(&self) -> Option<&SharedTracer> {
+    /// The lifecycle tracer, when tracing is enabled. Its
+    /// [`snapshot`](Tracer::snapshot) orders the retained records by
+    /// delivery.
+    pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
     }
 
@@ -520,10 +497,14 @@ impl HbmSystem {
     /// bool — observation only, the simulated schedule is untouched.
     fn step_prof(&mut self, prof: bool) {
         let now = self.now;
+        let mut tracer = self.tracer.as_mut();
         // 1. Masters offer their head-of-line transaction.
         for gen in &mut self.gens {
             if let Some(txn) = gen.poll(now) {
                 if self.fabric.offer_request(now, txn).is_ok() {
+                    if let Some(tr) = tracer.as_deref_mut() {
+                        tr.ingress_accept(now, &txn);
+                    }
                     gen.accepted();
                 }
             }
@@ -532,7 +513,7 @@ impl HbmSystem {
             profile::lap(profile::Phase::GensTick);
         }
         // 2. The interconnect moves flits.
-        self.fabric.tick(now);
+        self.fabric.tick(now, tracer.as_deref_mut());
         if prof {
             profile::lap(profile::Phase::FabricTick);
         }
@@ -543,13 +524,16 @@ impl HbmSystem {
             if let Some(head) = self.fabric.peek_request(now, port) {
                 if mc.can_accept(head.dir) {
                     let txn = self.fabric.pop_request(now, port).expect("peeked head");
+                    if let Some(tr) = tracer.as_deref_mut() {
+                        tr.mc_enqueue(now, &txn, port.0);
+                    }
                     mc.accept(now, txn);
                 }
             }
             if prof {
                 profile::lap(profile::Phase::QueueOps);
             }
-            mc.tick(now, &mut self.banks.unit_mut(p));
+            mc.tick(now, &mut self.banks.unit_mut(p), tracer.as_deref_mut());
             if prof {
                 profile::lap(profile::Phase::McTick);
             }
@@ -569,7 +553,7 @@ impl HbmSystem {
         // 4. Masters drain completions.
         for (m, gen) in self.gens.iter_mut().enumerate() {
             while let Some(c) = self.fabric.pop_completion(now, MasterId(m as u16)) {
-                if let Some(tr) = &self.tracer {
+                if let Some(tr) = tracer.as_deref_mut() {
                     tr.delivered(now, &c.txn);
                 }
                 gen.completed(now, &c.txn);
@@ -639,8 +623,8 @@ impl HbmSystem {
     /// skip clamps to the span's end and re-derives the same horizon on
     /// re-entry.
     pub fn run(&mut self, cycles: Cycle) {
-        if let RunPolicy::Parallel { jobs } = self.policy {
-            self.conduct(cycles, jobs.max(1), false);
+        if self.policy == RunPolicy::Wake {
+            self.conduct(cycles, false);
             return;
         }
         if self.probe.is_none() {
@@ -688,8 +672,8 @@ impl HbmSystem {
     /// With a probe attached the span is split at sampling boundaries,
     /// exactly like [`run`](HbmSystem::run).
     pub fn run_until_drained(&mut self, max_cycles: Cycle) -> bool {
-        if let RunPolicy::Parallel { jobs } = self.policy {
-            return self.conduct(max_cycles, jobs.max(1), true);
+        if self.policy == RunPolicy::Wake {
+            return self.conduct(max_cycles, true);
         }
         if self.probe.is_none() {
             return self.drain_span(max_cycles);
@@ -742,25 +726,25 @@ impl HbmSystem {
 
     /// The wake-driven kernel behind [`run`](HbmSystem::run) and
     /// [`run_until_drained`](HbmSystem::run_until_drained) under
-    /// [`RunPolicy::Parallel`] (DESIGN.md §3.3, §3.12).
+    /// [`RunPolicy::Wake`] (DESIGN.md §3.3, §3.12).
     ///
     /// Work proceeds in *supersteps*: each iteration picks a barrier
     /// cycle `W` no farther than the fabric's lateral-synchronisation
     /// lag past the earliest component wake (clamped to the deadline
-    /// and the next probe boundary), advances every execution domain
-    /// independently over `[now, W)`, reconciles the lateral boundaries,
-    /// and jumps `now` to `W`. The lateral-port contract — data *and*
-    /// credits delayed by at least `sync_lag` cycles — guarantees no
-    /// domain can observe another's in-window state changes before `W`,
-    /// so any interleaving (including concurrent execution) replays the
-    /// reference schedule bit-for-bit.
+    /// and the next probe boundary), advances every execution domain in
+    /// turn over `[now, W)`, reconciles the lateral boundaries, and jumps
+    /// `now` to `W`. The lateral-port contract — data *and* credits
+    /// delayed by at least `sync_lag` cycles — guarantees no domain can
+    /// observe another's in-window state changes before `W`, so
+    /// advancing them one after another replays the reference schedule
+    /// bit-for-bit.
     ///
     /// A monolithic fabric is one domain with no lateral boundary, and
     /// so is a sharded one whose traffic can never cross a lateral bus
     /// (every source port-affine, each shard owning its own masters'
     /// ports end-to-end): there the horizon clamp is dropped and domains
     /// sprint straight to the deadline.
-    fn conduct(&mut self, budget: Cycle, jobs: usize, drain: bool) -> bool {
+    fn conduct(&mut self, budget: Cycle, drain: bool) -> bool {
         // Wakes are only kept by this kernel; anything else (the
         // reference step, a policy switch) may have moved state since.
         self.source_wake.fill(0);
@@ -805,7 +789,7 @@ impl HbmSystem {
                 Some(_) if lateral_free => cap,
                 Some(t) => t.max(self.now).saturating_add(lag).min(cap),
             };
-            self.advance_domains(barrier, jobs, drain, prof, &mut last_step, &mut pacers);
+            self.advance_domains(barrier, drain, prof, &mut last_step, &mut pacers);
             if let Some(sharded) = self.fabric.as_sharded_mut() {
                 if sharded.pending_reconcile() {
                     sharded.reconcile();
@@ -839,23 +823,18 @@ impl HbmSystem {
         (t != Cycle::MAX).then(|| t.max(now))
     }
 
-    /// Advances every execution domain independently over
-    /// `[self.now, to)`, on up to `jobs` worker threads when the window
-    /// is wide enough to amortise the spawns.
+    /// Advances every execution domain over `[self.now, to)`, one after
+    /// another in index order, lending each the tracer in turn.
     fn advance_domains(
         &mut self,
         to: Cycle,
-        jobs: usize,
         drain: bool,
         prof: bool,
         last_step: &mut [Option<Cycle>],
         pacers: &mut [Pacer],
     ) {
-        /// Below this window width a scoped-thread spawn costs more
-        /// than it buys; domains are advanced inline instead.
-        const SPAWN_THRESHOLD: Cycle = 64;
         let from = self.now;
-        let tracer = self.tracer.as_ref();
+        let mut tracer = self.tracer.as_mut();
         let Some(layout) = self.fabric.shard_layout() else {
             let mut whole = Domain {
                 fabric: &mut *self.fabric,
@@ -863,14 +842,14 @@ impl HbmSystem {
                 source_wake: &mut self.source_wake,
                 stalls: &mut self.stalls,
                 mcs: &mut self.mcs,
+                first_port: 0,
                 port_wake: &mut self.port_wake,
                 banks: self.banks.view_mut(),
                 stuck: &mut self.stuck,
-                tracer,
                 last: &mut last_step[0],
                 pacer: &mut pacers[0],
             };
-            whole.advance(from, to, drain, prof);
+            whole.advance(from, to, drain, prof, tracer);
             return;
         };
         let (mps, pps) = (layout.masters_per_shard, layout.ports_per_shard);
@@ -884,10 +863,14 @@ impl HbmSystem {
         let ports = self.mcs.chunks_mut(pps).zip(self.port_wake.chunks_mut(pps));
         let memory = self.banks.view_mut().chunks_mut(pps).zip(self.stuck.chunks_mut(pps));
         let progress = last_step.iter_mut().zip(pacers);
-        let domains = shards.iter_mut().zip(sources).zip(ports).zip(memory).zip(progress).map(
+        let domains = shards.iter_mut().zip(sources).zip(ports).zip(memory).zip(progress);
+        let domains = domains.enumerate().map(
             |(
-                (((fabric, ((gens, source_wake), stalls)), (mcs, port_wake)), (banks, stuck)),
-                (last, pacer),
+                s,
+                (
+                    (((fabric, ((gens, source_wake), stalls)), (mcs, port_wake)), (banks, stuck)),
+                    (last, pacer),
+                ),
             )| {
                 Domain {
                     fabric,
@@ -895,33 +878,17 @@ impl HbmSystem {
                     source_wake,
                     stalls,
                     mcs,
+                    first_port: s * pps,
                     port_wake,
                     banks,
                     stuck,
-                    tracer,
                     last,
                     pacer,
                 }
             },
         );
-        if jobs > 1 && layout.shards > 1 && to - from >= SPAWN_THRESHOLD {
-            // Worker threads carry no profiler: their time lands in the
-            // caller's next lap.
-            let mut domains: Vec<Domain<'_, SwitchShard>> = domains.collect();
-            let per = domains.len().div_ceil(jobs);
-            std::thread::scope(|scope| {
-                for chunk in domains.chunks_mut(per) {
-                    scope.spawn(move || {
-                        for d in chunk {
-                            d.advance(from, to, drain, false);
-                        }
-                    });
-                }
-            });
-        } else {
-            for mut d in domains {
-                d.advance(from, to, drain, prof);
-            }
+        for mut d in domains {
+            d.advance(from, to, drain, prof, tracer.as_deref_mut());
         }
     }
 
@@ -1023,8 +990,15 @@ trait DomainFabric {
 
     /// Moves flits; lowers `source_wake[lm]` (`port_wake[lp]`) to `now`
     /// for every master (port) whose ingress (completion) link it pops —
-    /// the event a `Cycle::MAX` retry hint waits for.
-    fn tick(&mut self, now: Cycle, source_wake: &mut [Cycle], port_wake: &mut [Cycle]);
+    /// the event a `Cycle::MAX` retry hint waits for. A lent `tracer`
+    /// takes the lateral-hop stamps.
+    fn tick(
+        &mut self,
+        now: Cycle,
+        source_wake: &mut [Cycle],
+        port_wake: &mut [Cycle],
+        tracer: Option<&mut Tracer>,
+    );
 
     fn peek_request(&self, now: Cycle, lp: usize) -> Option<&Transaction>;
     fn pop_request(&mut self, now: Cycle, lp: usize) -> Option<Transaction>;
@@ -1044,8 +1018,14 @@ impl DomainFabric for SwitchShard {
         self.offer_request_hinted(now, txn)
     }
 
-    fn tick(&mut self, now: Cycle, source_wake: &mut [Cycle], port_wake: &mut [Cycle]) {
-        self.tick_and_wake(now, source_wake, port_wake);
+    fn tick(
+        &mut self,
+        now: Cycle,
+        source_wake: &mut [Cycle],
+        port_wake: &mut [Cycle],
+        tracer: Option<&mut Tracer>,
+    ) {
+        self.tick_and_wake(now, source_wake, port_wake, tracer);
     }
 
     fn peek_request(&self, now: Cycle, lp: usize) -> Option<&Transaction> {
@@ -1085,8 +1065,14 @@ impl DomainFabric for dyn Interconnect {
         self.offer_request_hinted(now, txn)
     }
 
-    fn tick(&mut self, now: Cycle, _source_wake: &mut [Cycle], _port_wake: &mut [Cycle]) {
-        Interconnect::tick(self, now);
+    fn tick(
+        &mut self,
+        now: Cycle,
+        _source_wake: &mut [Cycle],
+        _port_wake: &mut [Cycle],
+        tracer: Option<&mut Tracer>,
+    ) {
+        Interconnect::tick(self, now, tracer);
     }
 
     fn peek_request(&self, now: Cycle, lp: usize) -> Option<&Transaction> {
@@ -1121,11 +1107,11 @@ impl DomainFabric for dyn Interconnect {
 
 /// One execution domain: a fabric part plus the traffic sources, memory
 /// controllers, stuck-completion slots and wakes of the masters and
-/// ports it owns. Between barriers the conductor advances each domain
-/// independently — possibly on its own thread. Lateral traffic lands in
-/// a shard's cycle-stamped outboxes; nothing outside the domain is
-/// touched until [`hbm_fabric::ShardedFabric::reconcile`] runs at the
-/// barrier.
+/// ports it owns. Between barriers the conductor advances the domains
+/// one after another. Lateral traffic lands in a shard's cycle-stamped
+/// outboxes; nothing outside the domain is touched until
+/// [`hbm_fabric::ShardedFabric::reconcile`] runs at the barrier, except
+/// the lent tracer's records of transactions in flight.
 struct Domain<'a, F: ?Sized> {
     fabric: &'a mut F,
     gens: &'a mut [Box<dyn TrafficSource>],
@@ -1133,14 +1119,15 @@ struct Domain<'a, F: ?Sized> {
     source_wake: &'a mut [Cycle],
     stalls: &'a mut [StallCredit],
     mcs: &'a mut [MemoryController],
+    /// System index of `mcs[0]`'s port, for the MC-enqueue stamp.
+    first_port: usize,
     /// Per port: visit from this cycle even without a request to
     /// accept (the controller's horizon, or a stuck completion's retry).
     port_wake: &'a mut [Cycle],
     /// The bank-pool units of this domain's ports (unit `lp` belongs to
-    /// `mcs[lp]`). Mutable slices only, so the domain stays `Send`.
+    /// `mcs[lp]`).
     banks: BanksViewMut<'a>,
     stuck: &'a mut [Option<Completion>],
-    tracer: Option<&'a SharedTracer>,
     /// The cycle of this domain's most recent executed step across the
     /// whole conducted run (drain-mode end-cycle reconstruction).
     last: &'a mut Option<Cycle>,
@@ -1170,8 +1157,10 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
     /// The four phases of the cycle, visiting only the components whose
     /// wake has come (DESIGN.md §3.12). `prof` is the phase-profiler bit
     /// read once per run; laps are taken per component pass and per
-    /// visited port.
-    fn step(&mut self, now: Cycle, prof: bool) {
+    /// visited port. A lent `tracer` takes ingress, MC-enqueue and
+    /// delivery stamps here, and the lateral-hop and DRAM-issue stamps
+    /// through the fabric's and the controllers' ticks.
+    fn step(&mut self, now: Cycle, prof: bool, mut tracer: Option<&mut Tracer>) {
         // 1. Due sources offer their head-of-line transaction. A source
         //    with nothing to offer sleeps until its own next event; a
         //    rejected one until the fabric's retry hint, or — stalled on
@@ -1187,6 +1176,9 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
                 None => gen.next_event(now + 1).unwrap_or(Cycle::MAX),
                 Some(txn) => match self.fabric.offer(now, txn) {
                     Ok(()) => {
+                        if let Some(tr) = tracer.as_deref_mut() {
+                            tr.ingress_accept(now, &txn);
+                        }
                         gen.accepted();
                         now + 1
                     }
@@ -1203,7 +1195,7 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
         }
         // 2. The interconnect moves flits (a shard returns at once
         //    before its own wake).
-        self.fabric.tick(now, self.source_wake, self.port_wake);
+        self.fabric.tick(now, self.source_wake, self.port_wake, tracer.as_deref_mut());
         if prof {
             profile::lap(profile::Phase::FabricTick);
         }
@@ -1219,13 +1211,16 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
             let mut moved = accept;
             if accept {
                 let txn = self.fabric.pop_request(now, lp).expect("peeked head");
+                if let Some(tr) = tracer.as_deref_mut() {
+                    tr.mc_enqueue(now, &txn, (self.first_port + lp) as u16);
+                }
                 mc.accept(now, txn);
             }
             if prof {
                 profile::lap(profile::Phase::QueueOps);
             }
             let queued = mc.queue_len();
-            mc.tick(now, &mut self.banks.unit_mut(lp));
+            mc.tick(now, &mut self.banks.unit_mut(lp), tracer.as_deref_mut());
             moved |= mc.queue_len() != queued;
             if prof {
                 profile::lap(profile::Phase::McTick);
@@ -1264,7 +1259,7 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
         // 4. Masters drain completions; each delivery wakes its source.
         for (lm, gen) in self.gens.iter_mut().enumerate() {
             while let Some(c) = self.fabric.pop_completion(now, lm) {
-                if let Some(tr) = self.tracer {
+                if let Some(tr) = tracer.as_deref_mut() {
                     tr.delivered(now, &c.txn);
                 }
                 gen.completed(now, &c.txn);
@@ -1283,7 +1278,14 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
     /// drain mode it stops once locally drained: the remaining cycles are
     /// provably no-ops, and stopping keeps `last` at the cycle the
     /// reference drain loop would stop at.
-    fn advance(&mut self, from: Cycle, to: Cycle, drain: bool, prof: bool) {
+    fn advance(
+        &mut self,
+        from: Cycle,
+        to: Cycle,
+        drain: bool,
+        prof: bool,
+        mut tracer: Option<&mut Tracer>,
+    ) {
         let mut now = from;
         while now < to {
             if drain && self.drained() {
@@ -1304,7 +1306,7 @@ impl<F: DomainFabric + ?Sized> Domain<'_, F> {
                     None => return,
                 }
             }
-            self.step(now, prof);
+            self.step(now, prof, tracer.as_deref_mut());
             *self.last = Some(now);
             now += 1;
         }
@@ -1403,7 +1405,7 @@ mod tests {
         assert_eq!(a.1, b.1, "identical seeds must give identical results");
     }
 
-    /// Stats fingerprint for sequential-vs-parallel parity checks.
+    /// Stats fingerprint for reference-vs-domains parity checks.
     fn fingerprint(sys: &HbmSystem) -> (Cycle, u64, u64, f64, u64) {
         let gens = sys.gen_stats();
         (
@@ -1416,7 +1418,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_policy_matches_sequential_under_lateral_traffic() {
+    fn default_policy_matches_sequential_under_lateral_traffic() {
         let wl = Workload { rotation: 4, ..Workload::scs() };
         let run = |policy| {
             let mut sys = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
@@ -1425,20 +1427,20 @@ mod tests {
             fingerprint(&sys)
         };
         let seq = run(RunPolicy::Sequential);
-        let par = run(RunPolicy::Parallel { jobs: 4 });
-        assert_eq!(seq, par, "parallel drain must be bit-identical to sequential");
+        let wake = run(RunPolicy::default());
+        assert_eq!(seq, wake, "the domains' drain must be bit-identical to sequential");
         assert!(seq.4 > 0, "rotation-4 traffic must exercise the lateral boundaries");
     }
 
     #[test]
-    fn parallel_policy_matches_sequential_on_fixed_span() {
+    fn default_policy_matches_sequential_on_fixed_span() {
         let run = |policy| {
             let mut sys = HbmSystem::new(&SystemConfig::xilinx(), Workload::ccra(), None);
             sys.set_run_policy(policy);
             sys.run(20_000);
             fingerprint(&sys)
         };
-        assert_eq!(run(RunPolicy::Sequential), run(RunPolicy::Parallel { jobs: 2 }));
+        assert_eq!(run(RunPolicy::Sequential), run(RunPolicy::default()));
     }
 
     #[test]
@@ -1452,8 +1454,8 @@ mod tests {
             fingerprint(&sys)
         };
         let seq = run(RunPolicy::Sequential);
-        let par = run(RunPolicy::Parallel { jobs: 8 });
-        assert_eq!(seq, par);
+        let wake = run(RunPolicy::default());
+        assert_eq!(seq, wake);
         assert_eq!(seq.4, 0);
     }
 

@@ -109,7 +109,7 @@ pub fn run_pair<F: Interconnect>(
                     }
                 }
                 1 => {
-                    fast.tick(now);
+                    fast.tick(now, None);
                     reference_tick(reference, now);
                 }
                 2 => {

@@ -5,7 +5,7 @@
 //! paper's SCS/SCRA baseline configuration: data must be pre-partitioned
 //! so that master *m* only touches PCH *m*'s address range.
 
-use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
+use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::link::{self, Flit, SerialLink};
@@ -17,7 +17,6 @@ pub struct DirectFabric {
     map: ContiguousMap,
     fwd: Vec<SerialLink<Flit>>,
     ret: Vec<SerialLink<Flit>>,
-    tracer: Option<SharedTracer>,
 }
 
 impl DirectFabric {
@@ -29,7 +28,6 @@ impl DirectFabric {
             map: ContiguousMap::new(n, port_capacity),
             fwd: (0..n).map(|_| SerialLink::new(1.0, 0.0, capacity, latency)).collect(),
             ret: (0..n).map(|_| SerialLink::new(1.0, 0.0, capacity, latency)).collect(),
-            tracer: None,
         }
     }
 }
@@ -70,9 +68,6 @@ impl Interconnect for DirectFabric {
             return Err((txn, Retry::At(link.retry_at(now))));
         }
         let cost = txn.fwd_link_cycles();
-        if let Some(tr) = &self.tracer {
-            tr.ingress_accept(now, &txn);
-        }
         link.send(now, 0, cost, Flit::Req(txn));
         Ok(())
     }
@@ -122,16 +117,12 @@ impl Interconnect for DirectFabric {
         }
     }
 
-    fn tick(&mut self, _now: Cycle) {
+    fn tick(&mut self, _now: Cycle, _tracer: Option<&mut Tracer>) {
         // Point-to-point: nothing to arbitrate.
     }
 
     fn drained(&self) -> bool {
         self.fwd.iter().all(|l| l.is_empty()) && self.ret.iter().all(|l| l.is_empty())
-    }
-
-    fn attach_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = Some(tracer);
     }
 
     fn occupancy(&self) -> usize {
@@ -186,7 +177,7 @@ mod tests {
         assert!(f.offer_request(0, t).is_ok());
         let mut got = None;
         for now in 0..100 {
-            f.tick(now);
+            f.tick(now, None);
             if let Some(t) = f.pop_request(now, PortId(2)) {
                 let c = Completion { txn: t, produced_at: now };
                 f.offer_completion(now, PortId(2), c).unwrap();
@@ -211,7 +202,7 @@ mod tests {
         assert!(f.offer_request(0, t).is_ok());
         assert_eq!(f.occupancy(), 1, "one request in flight");
         for now in 0..100 {
-            f.tick(now);
+            f.tick(now, None);
             if f.pop_request(now, PortId(1)).is_some() {
                 assert_eq!(f.occupancy(), 0, "popped request leaves the fabric");
                 return;

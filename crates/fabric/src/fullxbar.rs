@@ -11,7 +11,7 @@
 //! interleaving) and *not* the random-access ID stalls (that needs
 //! reorder buffers).
 
-use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
+use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::arbiter::RequestMasks;
@@ -36,7 +36,6 @@ pub struct FullCrossbarFabric {
     id_track: IdTracker,
     id_stall_cycles: u64,
     n: usize,
-    tracer: Option<SharedTracer>,
 }
 
 impl FullCrossbarFabric {
@@ -64,7 +63,6 @@ impl FullCrossbarFabric {
             id_track: IdTracker::new(n),
             id_stall_cycles: 0,
             n,
-            tracer: None,
         }
     }
 }
@@ -102,9 +100,6 @@ impl Interconnect for FullCrossbarFabric {
         }
         let cost = txn.fwd_link_cycles();
         let (dir, id) = (txn.dir, txn.id.0);
-        if let Some(tr) = &self.tracer {
-            tr.ingress_accept(now, &txn);
-        }
         self.ingress[m].send(now, 0, cost, Flit::Req(txn));
         self.id_track.issue(m, dir, id, port);
         Ok(())
@@ -159,7 +154,7 @@ impl Interconnect for FullCrossbarFabric {
         }
     }
 
-    fn tick(&mut self, now: Cycle) {
+    fn tick(&mut self, now: Cycle, _tracer: Option<&mut Tracer>) {
         // Forward: each port grants one FIFO ingress head per cycle. Pass
         // 1 routes every ready head once; pass 2 grants round-robin from
         // each port's pointer. A head routes to exactly one port, so no
@@ -206,10 +201,6 @@ impl Interconnect for FullCrossbarFabric {
             && self.port_out.iter().all(|l| l.is_empty())
             && self.ret_in.iter().all(|l| l.is_empty())
             && self.master_out.iter().all(|l| l.is_empty())
-    }
-
-    fn attach_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = Some(tracer);
     }
 
     fn occupancy(&self) -> usize {
@@ -346,7 +337,7 @@ mod tests {
         assert!(f.offer_request(0, t).is_ok());
         let mut arrived = None;
         for now in 0..100 {
-            f.tick(now);
+            f.tick(now, None);
             if let Some(t) = f.pop_request(now, PortId(29)) {
                 arrived = Some((now, t));
                 break;
@@ -388,7 +379,7 @@ mod tests {
         assert!(f.offer_request(0, t).is_ok());
         assert_eq!(f.occupancy(), 1, "request queued at ingress");
         for now in 0..200 {
-            f.tick(now);
+            f.tick(now, None);
             if let Some(t) = f.pop_request(now, PortId(20)) {
                 assert_eq!(f.occupancy(), 0, "request left, completion not yet offered");
                 let c = Completion { txn: t, produced_at: now };
@@ -413,7 +404,7 @@ mod tests {
         assert!(f.offer_request(0, t).is_ok());
         let mut done = false;
         for now in 0..200 {
-            f.tick(now);
+            f.tick(now, None);
             if let Some(t) = f.pop_request(now, PortId(12)) {
                 let c = Completion { txn: t, produced_at: now };
                 f.offer_completion(now, PortId(12), c).unwrap();

@@ -39,7 +39,7 @@
 //! let txn = b.issue(AxiId(0), 4 * (256 << 20), BurstLen::of(1), Dir::Read, 0).unwrap();
 //! fabric.offer_request(0, txn).unwrap();
 //! for now in 0..100 {
-//!     fabric.tick(now);
+//!     fabric.tick(now, None);
 //!     if fabric.pop_request(now, PortId(4)).is_some() {
 //!         // The request crossed a lateral bus to reach switch 1.
 //!         assert!(fabric.stats().lateral_beats() > 0);
@@ -69,7 +69,7 @@ pub use shard::{LateralRx, LateralTx, SwitchShard};
 pub use stats::{FabricStats, LinkStats};
 pub use xilinx::{FabricConfig, XilinxFabric};
 
-use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
+use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 
 /// Why an offer was turned away, and when repeating it can next matter —
 /// the hint a wake-driven kernel sleeps on (DESIGN.md §3.12).
@@ -105,8 +105,8 @@ pub struct ShardLayout {
 /// Implementors guarantee the lateral-port contract (see
 /// [`shard`]): shards communicate *only* through cycle-stamped channels
 /// whose data and credits are delayed by at least
-/// [`ShardLayout::sync_lag`] cycles, so advancing shards in any order —
-/// or concurrently — between barriers no farther apart than the
+/// [`ShardLayout::sync_lag`] cycles, so advancing shards one after
+/// another, in any order, between barriers no farther apart than the
 /// lateral-synchronisation horizon is bit-identical to lock-step
 /// sequential execution.
 pub trait ShardedFabric {
@@ -114,7 +114,7 @@ pub trait ShardedFabric {
     fn layout(&self) -> ShardLayout;
 
     /// Mutable access to the execution domains, for a conductor to
-    /// advance independently (each [`SwitchShard`] is `Send`).
+    /// advance independently.
     fn shards_mut(&mut self) -> &mut [SwitchShard];
 
     /// Delivers every boundary's pending flits and credits. Must be
@@ -204,8 +204,11 @@ pub trait Interconnect {
     /// Delivers the next completion for a master, if one has arrived.
     fn pop_completion(&mut self, now: Cycle, master: MasterId) -> Option<Completion>;
 
-    /// Advances internal state by one cycle.
-    fn tick(&mut self, now: Cycle);
+    /// Advances internal state by one cycle. A lent `tracer` (see
+    /// `hbm_axi::instrument`) takes the stamps only the fabric sees, the
+    /// lateral hops of a switched network; stamping is observation only
+    /// and must not change timing, arbitration, or acceptance decisions.
+    fn tick(&mut self, now: Cycle, tracer: Option<&mut Tracer>);
 
     /// A lower bound on the first cycle ≥ `now` at which this fabric
     /// could do observable work — move a flit, expose a request at a
@@ -226,14 +229,6 @@ pub trait Interconnect {
     /// `true` when no flit is anywhere in flight inside the fabric.
     fn drained(&self) -> bool;
 
-    /// Attaches a lifecycle tracer (see `hbm_axi::instrument`). Once
-    /// attached, the fabric stamps ingress-accepts and lateral hops into
-    /// the shared side-table. Stamping is observation only — it must not
-    /// change timing, arbitration, or acceptance decisions. The default
-    /// ignores the tracer, so custom fabrics stay correct (just unstamped)
-    /// by omission.
-    fn attach_tracer(&mut self, _tracer: SharedTracer) {}
-
     /// Flits currently in flight inside the fabric (requests and
     /// completions across all internal queues) — a coarse congestion
     /// gauge sampled by time-series probes. The default reports 0 for
@@ -242,18 +237,17 @@ pub trait Interconnect {
         0
     }
 
-    /// The shard geometry when this fabric is decomposed into parallel
-    /// execution domains, `None` for monolithic fabrics. A `Some` return
-    /// promises that [`as_sharded_mut`](Interconnect::as_sharded_mut)
-    /// also returns `Some`. The default is `None`: monolithic fabrics
-    /// run on the sequential path regardless of the requested run
-    /// policy.
+    /// The shard geometry when this fabric is decomposed into execution
+    /// domains, `None` for monolithic fabrics. A `Some` return promises
+    /// that [`as_sharded_mut`](Interconnect::as_sharded_mut) also
+    /// returns `Some`. The default is `None`: a monolithic fabric runs as
+    /// one domain.
     fn shard_layout(&self) -> Option<ShardLayout> {
         None
     }
 
     /// The fabric's [`ShardedFabric`] view, `None` for monolithic
-    /// fabrics (the sequential fallback).
+    /// fabrics.
     fn as_sharded_mut(&mut self) -> Option<&mut dyn ShardedFabric> {
         None
     }

@@ -28,10 +28,10 @@
 //!
 //! Because both data and credits are delayed by at least one hop, *no
 //! same-cycle information flows between shards*. That is the property the
-//! parallel conductor builds on: between two synchronisation barriers
-//! separated by at most `hop_latency` cycles past the earliest shard
-//! event, every shard can be advanced independently — in any order, or on
-//! different threads — and the result is bit-identical to the sequential
+//! kernel's execution domains build on: between two synchronisation
+//! barriers separated by at most `hop_latency` cycles past the earliest
+//! shard event, every shard can be advanced on its own, one after another
+//! in any order, and the result is bit-identical to the sequential
 //! schedule (DESIGN.md §3.3).
 //!
 //! [`reconcile`] is the only cross-shard operation: it drains each
@@ -54,7 +54,7 @@
 //! wake. The wake feeds [`SwitchShard::next_event`], so a conductor's
 //! domain horizon skips the cycles in which heads sit blocked.
 
-use hbm_axi::{Completion, Cycle, SharedTracer, StampedRing, Transaction};
+use hbm_axi::{Completion, Cycle, StampedRing, Tracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::arbiter::RequestMasks;
@@ -309,7 +309,6 @@ pub struct SwitchShard {
     /// Outstanding (local master, dir, id) → destination tracking.
     id_track: IdTracker,
     id_stall_cycles: u64,
-    tracer: Option<SharedTracer>,
 }
 
 impl SwitchShard {
@@ -376,7 +375,6 @@ impl SwitchShard {
             wake: 0,
             id_track: IdTracker::new(mps),
             id_stall_cycles: 0,
-            tracer: None,
         }
     }
 
@@ -565,9 +563,6 @@ impl SwitchShard {
         }
         let cost = txn.fwd_link_cycles();
         let (dir, id) = (txn.dir, txn.id.0);
-        if let Some(tr) = &self.tracer {
-            tr.ingress_accept(now, &txn);
-        }
         link.send(now, 0, cost, Flit::Req(txn));
         self.id_track.issue(lm, dir, id, port);
         // The flit arrives at least one cycle out (latencies are ≥ 1).
@@ -647,7 +642,7 @@ impl SwitchShard {
     /// accumulate in the sender outboxes until the owning fabric
     /// reconciles the boundary. Returns at once before the wake.
     pub fn tick(&mut self, now: Cycle) {
-        self.tick_and_wake(now, &mut [], &mut []);
+        self.tick_and_wake(now, &mut [], &mut [], None);
     }
 
     /// [`tick`](Self::tick) that also lowers `masters[lm]` (`ports[lp]`)
@@ -655,8 +650,16 @@ impl SwitchShard {
     /// link it pops: a rejected offer there may succeed from this cycle
     /// on (see [`offer_request_hinted`](Self::offer_request_hinted) and
     /// [`offer_completion_hinted`](Self::offer_completion_hinted)). Each
-    /// slice is empty or holds one entry per local master (port).
-    pub fn tick_and_wake(&mut self, now: Cycle, masters: &mut [Cycle], ports: &mut [Cycle]) {
+    /// slice is empty or holds one entry per local master (port). A lent
+    /// `tracer` takes a lateral-hop stamp for every grant onto a lateral
+    /// bus.
+    pub fn tick_and_wake(
+        &mut self,
+        now: Cycle,
+        masters: &mut [Cycle],
+        ports: &mut [Cycle],
+        mut tracer: Option<&mut Tracer>,
+    ) {
         if now < self.wake {
             return;
         }
@@ -679,7 +682,7 @@ impl SwitchShard {
                     continue;
                 }
                 let slot = self.cand.pick(out_slot, self.rr[out_slot]).expect("non-empty row");
-                self.grant(now, slot, out_slot);
+                self.grant(now, slot, out_slot, tracer.as_deref_mut());
                 let freed = if slot < self.mps {
                     masters.get_mut(slot)
                 } else if slot < self.mps + self.pps {
@@ -698,10 +701,10 @@ impl SwitchShard {
 
     /// Moves the head of input `slot` onto output `out_slot` and advances
     /// the output's round-robin pointer past it.
-    fn grant(&mut self, now: Cycle, slot: usize, out_slot: usize) {
+    fn grant(&mut self, now: Cycle, slot: usize, out_slot: usize, tracer: Option<&mut Tracer>) {
         let flit = self.in_pop(slot, now).expect("routed head vanished");
         let cost = flit.cost_beats();
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = tracer {
             if out_slot >= self.lateral_out_base() {
                 let (m, seq) = match &flit {
                     Flit::Req(t) => (t.master.0, t.seq),
@@ -785,12 +788,6 @@ impl SwitchShard {
             .sum::<usize>()
             + self.west_rx.iter().chain(&self.east_rx).map(|r| r.len()).sum::<usize>()
             + self.east_tx.iter().chain(&self.west_tx).map(|t| t.outbox.len()).sum::<usize>()
-    }
-
-    /// Attaches the lifecycle tracer (ingress-accept + lateral-hop
-    /// stamps).
-    pub fn attach_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Cycles a master of this shard spent stalled on the AXI same-ID
@@ -917,8 +914,8 @@ impl SwitchShard {
             }
             if let Some((_, slot)) = chosen {
                 // The old grant, spelled out so a slip in the shared
-                // `grant` shows up as a divergence (the oracle's fabric
-                // carries no tracer).
+                // `grant` shows up as a divergence (the oracle takes no
+                // stamps).
                 popped[slot] = true;
                 let flit = self.in_pop(slot, now).expect("peeked head vanished");
                 self.out_send(out_slot, now, slot as u16, flit.cost_beats(), flit);

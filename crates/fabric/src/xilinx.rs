@@ -26,9 +26,9 @@
 //! domains (see [`crate::shard`]): each mini switch owns all of its local
 //! state and talks to its neighbours only through cycle-stamped lateral
 //! ports, which is what lets the simulation core advance switches
-//! independently — and in parallel — between synchronisation horizons.
+//! independently between synchronisation horizons.
 
-use hbm_axi::{Addr, ClockDomain, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
+use hbm_axi::{Addr, ClockDomain, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::shard::SwitchShard;
@@ -128,10 +128,11 @@ impl FabricConfig {
 /// channel pairs whose data *and* queue credits are delayed by
 /// `hop_latency`. Stepped sequentially, [`tick`](Interconnect::tick)
 /// advances every shard and then [reconciles](ShardedFabric::reconcile)
-/// all boundaries; the parallel conductor in `hbm-core` instead advances
-/// shards independently between lateral-synchronisation horizons and
-/// reconciles at each barrier — bit-identically, because no same-cycle
-/// information ever crosses a boundary (DESIGN.md §3.3).
+/// all boundaries; the wake-driven kernel in `hbm-core` instead advances
+/// each shard's execution domain on its own between
+/// lateral-synchronisation horizons and reconciles at each barrier —
+/// bit-identically, because no same-cycle information ever crosses a
+/// boundary (DESIGN.md §3.3).
 pub struct XilinxFabric {
     cfg: FabricConfig,
     map: ContiguousMap,
@@ -258,24 +259,18 @@ impl Interconnect for XilinxFabric {
         self.shards[s].pop_completion(now, lm)
     }
 
-    fn tick(&mut self, now: Cycle) {
+    fn tick(&mut self, now: Cycle, mut tracer: Option<&mut Tracer>) {
         for sh in &mut self.shards {
-            sh.tick(now);
+            sh.tick_and_wake(now, &mut [], &mut [], tracer.as_deref_mut());
         }
         // Sequential stepping reconciles every boundary each cycle; the
         // cycle stamps on lateral flits and credits make this equivalent
-        // to the parallel conductor's coarser barriers.
+        // to the execution domains' coarser barriers.
         ShardedFabric::reconcile(self);
     }
 
     fn drained(&self) -> bool {
         self.shards.iter().all(|s| s.drained())
-    }
-
-    fn attach_tracer(&mut self, tracer: SharedTracer) {
-        for sh in &mut self.shards {
-            sh.attach_tracer(tracer.clone());
-        }
     }
 
     fn occupancy(&self) -> usize {
@@ -392,7 +387,7 @@ mod tests {
                 }
             }
             pending = still;
-            f.tick(now);
+            f.tick(now, None);
             for (p, slot) in stuck.iter_mut().enumerate() {
                 let port = PortId(p as u16);
                 if let Some(c) = slot.take() {
@@ -462,7 +457,7 @@ mod tests {
         // Run and check arrival ports.
         let mut seen = Vec::new();
         for now in 0..1000 {
-            f.tick(now);
+            f.tick(now, None);
             for p in 0..f.num_ports() {
                 if let Some(t) = f.pop_request(now, PortId(p as u16)) {
                     seen.push((t.master.0, p as u16));
@@ -518,7 +513,7 @@ mod tests {
             // Drain t0 through a reflector.
             let mut done = Vec::new();
             for now in 0..1000 {
-                f.tick(now);
+                f.tick(now, None);
                 for p in 0..f.num_ports() {
                     if let Some(t) = f.pop_request(now, PortId(p as u16)) {
                         let c = Completion { txn: t, produced_at: now };

@@ -21,7 +21,7 @@
 //! completions — holds one for it; a port's bits are recomputed after
 //! every pull from it, because the pull shifts its window.
 
-use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, SharedTracer, Transaction};
+use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 use hbm_fabric::{
     horizon, AddressMap, FabricStats, Flit, Interconnect, RequestMasks, Retry, SerialLink,
 };
@@ -57,7 +57,6 @@ pub struct MaoFabric {
     /// Per master: the ports whose VOQ window holds a completion for it.
     ret_cand: RequestMasks,
     rob_stall_cycles: u64,
-    tracer: Option<SharedTracer>,
 }
 
 impl MaoFabric {
@@ -81,7 +80,6 @@ impl MaoFabric {
             fwd_cand: RequestMasks::new(p, m),
             ret_cand: RequestMasks::new(m, p),
             rob_stall_cycles: 0,
-            tracer: None,
             cfg,
         }
     }
@@ -163,12 +161,6 @@ impl Interconnect for MaoFabric {
         );
         self.rob[m].reserve(phys.dir, phys.id.0, phys.seq);
         let cost = phys.fwd_link_cycles();
-        if let Some(tr) = &self.tracer {
-            // Stamp with the pre-remap transaction so the record keeps
-            // the address the master issued; (master, seq) is unchanged
-            // by the remap, so downstream stamps still find the record.
-            tr.ingress_accept(now, &txn);
-        }
         self.ingress[m].send(now, 0, cost, Flit::Req(phys));
         Ok(())
     }
@@ -221,7 +213,7 @@ impl Interconnect for MaoFabric {
         self.rob[m].pop_ready()
     }
 
-    fn tick(&mut self, now: Cycle) {
+    fn tick(&mut self, now: Cycle, _tracer: Option<&mut Tracer>) {
         let m_count = self.cfg.num_masters;
         // Forward: each port grants one ingress head per cycle. Pass 1
         // routes every ready head once; pass 2 grants round-robin from
@@ -287,10 +279,6 @@ impl Interconnect for MaoFabric {
             && self.ret_in.iter().all(|l| l.is_empty())
             && self.master_ret.iter().all(|l| l.is_empty())
             && self.rob.iter().all(|r| r.is_empty())
-    }
-
-    fn attach_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = Some(tracer);
     }
 
     fn occupancy(&self) -> usize {
@@ -435,7 +423,7 @@ mod tests {
                 }
             }
             pending = still;
-            f.tick(now);
+            f.tick(now, None);
             for (p, slot) in stuck.iter_mut().enumerate() {
                 let port = PortId(p as u16);
                 if let Some(c) = slot.take() {

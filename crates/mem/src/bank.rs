@@ -15,8 +15,8 @@
 //! row-state walk of `execute_burst`) then touch dense cache lines
 //! instead of pointer-chasing a heap of tiny structs. Mutable access
 //! flows through two borrowed views: [`BanksViewMut`] (a contiguous run
-//! of units, splittable for sharded/parallel execution) and [`BanksMut`]
-//! (one unit, what `PchDram` operates on).
+//! of units, splittable along execution-domain boundaries) and
+//! [`BanksMut`] (one unit, what `PchDram` operates on).
 
 use crate::config::Timings;
 
@@ -106,7 +106,7 @@ impl BankPool {
 /// Mutable bank state for a contiguous run of units — the splittable
 /// intermediate between a [`BankPool`] and the single-unit [`BanksMut`]
 /// that `PchDram` operates on. Holds only slice borrows, so views of
-/// disjoint unit ranges can be advanced on different threads.
+/// disjoint unit ranges can be lent to different execution domains.
 #[derive(Debug)]
 pub struct BanksViewMut<'a> {
     units: usize,

@@ -30,7 +30,7 @@
 //! same under random interleavings in release mode.
 
 use hbm_axi::{
-    AxiId, ClockDomain, Completion, Cycle, DelayQueue, Dir, MasterId, SharedTracer, Transaction,
+    AxiId, ClockDomain, Completion, Cycle, DelayQueue, Dir, MasterId, Tracer, Transaction,
 };
 
 use crate::bank::BanksMut;
@@ -87,9 +87,6 @@ pub struct MemoryController {
     /// transaction; the controller only needs the local offset, so the
     /// mapping function is injected per transaction instead.
     offset_mask: u64,
-    /// Optional lifecycle tracer (enqueue + DRAM command stamps) and the
-    /// port index this controller serves, for record labelling.
-    tracer: Option<(u16, SharedTracer)>,
 }
 
 impl MemoryController {
@@ -106,17 +103,9 @@ impl MemoryController {
             seen_keys: Vec::with_capacity(cfg.mc.window),
             sched: None,
             offset_mask: cfg.pch_capacity - 1,
-            tracer: None,
             mc: cfg.mc,
             clock,
         }
-    }
-
-    /// Attaches a lifecycle tracer; `port` is the pseudo-channel index
-    /// this controller serves (recorded on every transaction it stamps).
-    /// Stamping is observation only and never alters scheduling.
-    pub fn attach_tracer(&mut self, port: u16, tracer: SharedTracer) {
-        self.tracer = Some((port, tracer));
     }
 
     /// `true` if a new transaction can be accepted this cycle.
@@ -135,9 +124,6 @@ impl MemoryController {
     ///
     /// Panics if `can_accept` is false — callers must gate on it.
     pub fn accept(&mut self, now: Cycle, txn: Transaction) {
-        if let Some((port, tr)) = &self.tracer {
-            tr.mc_enqueue(now, &txn, *port);
-        }
         if txn.dir == Dir::Write {
             // Posted write: acknowledge on acceptance.
             self.ack_q
@@ -148,8 +134,11 @@ impl MemoryController {
     }
 
     /// Advances the controller by one cycle: possibly issues one DRAM job.
-    /// `banks` is this channel's unit of the system-owned bank pool.
-    pub fn tick(&mut self, now: Cycle, banks: &mut BanksMut) {
+    /// `banks` is this channel's unit of the system-owned bank pool. A
+    /// lent `tracer` takes the DRAM-issue stamp of an issued read; a
+    /// posted write's ack never waits on DRAM, so writes take none.
+    /// Stamping is observation only and never alters scheduling.
+    pub fn tick(&mut self, now: Cycle, banks: &mut BanksMut, tracer: Option<&mut Tracer>) {
         let now_ns = self.clock.cycles_to_ns(now);
         // Issue-ahead gate: don't let the DRAM backlog grow unboundedly.
         if self.dram.bus_free_at() > now_ns + self.mc.lookahead_ns {
@@ -179,20 +168,14 @@ impl MemoryController {
             self.last_dir = txn.dir;
             self.dir_run = 1;
         }
-        if let Some((_, tr)) = &self.tracer {
-            // Observation only: converts the DRAM's nanosecond timing back
-            // into cycles for the record. Reads include the PHY return in
-            // the service time (matching `produced_at` below); the write
-            // stamp covers the bus burst alone (the ack never waits on it).
-            let data_start = self.clock.ns_to_cycles(timing.first_data_ns);
-            let done = match txn.dir {
-                Dir::Read => self.clock.ns_to_cycles(timing.finish_ns + self.mc.phy_read_ns),
-                Dir::Write => self.clock.ns_to_cycles(timing.finish_ns),
-            };
-            tr.dram_issue(&txn, now, data_start.max(now), done.max(now));
-        }
         if txn.dir == Dir::Read {
             let finish_cycle = self.clock.ns_to_cycles(timing.finish_ns + self.mc.phy_read_ns);
+            if let Some(tr) = tracer {
+                // The service time includes the PHY return, matching
+                // `produced_at`.
+                let data_start = self.clock.ns_to_cycles(timing.first_data_ns);
+                tr.dram_issue(&txn, now, data_start.max(now), finish_cycle.max(now));
+            }
             self.resp_q
                 .push(finish_cycle.max(now), Completion { txn, produced_at: finish_cycle.max(now) })
                 .expect("response slot reserved above");
@@ -463,7 +446,7 @@ mod tests {
         let mut now = start;
         let deadline = start + 1_000_000;
         while !m.drained() && now < deadline {
-            m.tick(now, &mut banks);
+            m.tick(now, &mut banks, None);
             while let Some(c) = m.pop_completion(now) {
                 out.push((now, c));
             }
@@ -582,7 +565,7 @@ mod tests {
                 addr += 512;
                 bytes += 512;
             }
-            m.tick(now, &mut banks);
+            m.tick(now, &mut banks, None);
             while m.pop_completion(now).is_some() {}
         }
         let delivered = m.stats().bytes_read as f64;
@@ -624,7 +607,7 @@ mod tests {
             // Jump straight to the hint: if the hint were late, the drain
             // below would deadlock or produce out-of-order completions.
             now = hint.max(now);
-            m.tick(now, &mut banks);
+            m.tick(now, &mut banks, None);
             while m.pop_completion(now).is_some() {
                 popped += 1;
             }

@@ -89,7 +89,7 @@ impl BmTrafficGen {
 
     /// `true` when every transaction this generator will *ever* issue
     /// stays inside its own pseudo-channel partition — a single-channel
-    /// pattern with no effective rotation offset. A parallel conductor
+    /// pattern with no effective rotation offset. The wake-driven kernel
     /// uses this hint to widen shard-synchronisation windows (such
     /// traffic can never cross a lateral bus); it must be conservative,
     /// so any cross-channel or rotated workload reports `false`.

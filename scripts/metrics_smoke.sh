@@ -12,7 +12,7 @@
 #   4. Check the span log file carries one JSONL span per finished job.
 #   5. Shut down, then run `repro profile --smoke` — asserts the
 #      phase-attribution self-consistency invariant (phase sums equal
-#      the measured loop time exactly, both kernels) and the <5 %
+#      the measured loop time exactly) and the <5 %
 #      metrics-registry overhead budget.
 #   6. Metrics off must cost nothing observable: `--metrics` stdout is
 #      byte-identical to the plain run (recording never reaches the

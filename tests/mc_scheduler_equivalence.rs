@@ -73,7 +73,7 @@ fn run_script(cfg: &HbmConfig, ops: &[Op]) {
             Op::Tick => {
                 let (incremental, reference) = m.scheduler_picks(now, &banks);
                 prop_assert_eq!(incremental, reference, "diverged at cycle {}", now);
-                m.tick(now, &mut banks);
+                m.tick(now, &mut banks, None);
             }
             Op::Pop => {
                 m.pop_completion(now);
@@ -88,7 +88,7 @@ fn run_script(cfg: &HbmConfig, ops: &[Op]) {
     while !m.drained() && now < deadline {
         let (incremental, reference) = m.scheduler_picks(now, &banks);
         prop_assert_eq!(incremental, reference, "diverged during drain at cycle {}", now);
-        m.tick(now, &mut banks);
+        m.tick(now, &mut banks, None);
         while m.pop_completion(now).is_some() {}
         now += 1;
     }

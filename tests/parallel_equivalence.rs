@@ -1,8 +1,9 @@
-//! The parallel conductor must be invisible: a system driven under
-//! `RunPolicy::Parallel { jobs }` — per-switch execution domains
-//! advanced independently (and concurrently) between lateral-
-//! synchronisation barriers — must end in exactly the same state as the
-//! sequential reference path, for any worker count.
+//! The execution domains must be invisible: a system driven under the
+//! default `RunPolicy::Wake` — per-switch execution domains advanced
+//! independently, one after another, between lateral-synchronisation
+//! barriers — must end in exactly the same state as the sequential
+//! reference path. (The tests keep their `parallel_` names from when the
+//! domains could also run on worker threads.)
 //!
 //! "Exactly" means bit-identical: final cycle count, every generator's
 //! stats (including full latency histograms), every controller's
@@ -77,13 +78,12 @@ fn workload_for(
     Workload { pattern, rotation, outstanding, num_ids, seed, ..Workload::scs() }
 }
 
-fn parallel(cfg: &SystemConfig, wl: Workload, per_master: u64, jobs: usize) -> HbmSystem {
-    let mut sys = HbmSystem::new(cfg, wl, Some(per_master));
-    sys.set_run_policy(RunPolicy::Parallel { jobs });
-    sys
+/// The execution domains (the default policy).
+fn parallel(cfg: &SystemConfig, wl: Workload, per_master: u64) -> HbmSystem {
+    HbmSystem::new(cfg, wl, Some(per_master))
 }
 
-/// The reference path (the default policy is the wake-driven kernel).
+/// The reference path.
 fn sequential(cfg: &SystemConfig, wl: Workload, per_master: u64) -> HbmSystem {
     let mut sys = HbmSystem::new(cfg, wl, Some(per_master));
     sys.set_run_policy(RunPolicy::Sequential);
@@ -95,14 +95,13 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Parallel `run_until_drained` lands on the same cycle with the
-        /// same stats as the sequential path, for every fabric, pattern,
-        /// rotation, and worker count.
+        /// The domains' `run_until_drained` lands on the same cycle with
+        /// the same stats as the sequential path, for every fabric,
+        /// pattern and rotation.
         #[test]
         fn parallel_drained_runs_are_bit_identical(
             fabric_sel in 0usize..4,
             pattern_sel in 0usize..4,
-            jobs in proptest::sample::select(vec![2usize, 3, 8]),
             rotation in proptest::sample::select(vec![0usize, 1, 4]),
             outstanding in proptest::sample::select(vec![1usize, 8]),
             per_master in 1u64..7,
@@ -111,7 +110,7 @@ mod proptests {
             let cfg = config_for(fabric_sel);
             let wl = workload_for(fabric_sel, pattern_sel, rotation, outstanding, 4, seed);
 
-            let mut par = parallel(&cfg, wl, per_master, jobs);
+            let mut par = parallel(&cfg, wl, per_master);
             let mut seq = sequential(&cfg, wl, per_master);
 
             let ok_par = par.run_until_drained(3_000_000);
@@ -122,15 +121,14 @@ mod proptests {
             prop_assert_eq!(fingerprint(&par), fingerprint(&seq));
         }
 
-        /// Windowed parallel `run` matches the sequential path at every
-        /// window boundary — including windows narrower than the
+        /// The domains' windowed `run` matches the sequential path at
+        /// every window boundary — including windows narrower than the
         /// synchronisation lag and windows that sit entirely in idle
         /// gaps.
         #[test]
         fn parallel_windowed_runs_are_bit_identical(
             fabric_sel in 0usize..4,
             pattern_sel in 0usize..4,
-            jobs in proptest::sample::select(vec![2usize, 4]),
             rotation in proptest::sample::select(vec![0usize, 4]),
             per_master in 1u64..5,
             window in proptest::sample::select(vec![1u64, 7, 100, 5_000]),
@@ -139,7 +137,7 @@ mod proptests {
             let cfg = config_for(fabric_sel);
             let wl = workload_for(fabric_sel, pattern_sel, rotation, 4, 4, seed);
 
-            let mut par = parallel(&cfg, wl, per_master, jobs);
+            let mut par = parallel(&cfg, wl, per_master);
             let mut seq = sequential(&cfg, wl, per_master);
 
             for _ in 0..6 {
@@ -150,15 +148,13 @@ mod proptests {
         }
 
         /// With the lifecycle tracer and the windowed probe attached,
-        /// the *exports* must also agree byte for byte: the merged
-        /// Chrome trace (partition-merged delivery order) and every
-        /// probe sample land identically whether domains ran on one
-        /// thread or eight.
+        /// the *exports* must also agree byte for byte: the Chrome trace
+        /// (the snapshot's delivery order) and every probe sample land
+        /// identically whether the domains or the whole system stepped.
         #[test]
         fn parallel_trace_exports_are_byte_identical(
             fabric_sel in 0usize..4,
             pattern_sel in 0usize..4,
-            jobs in proptest::sample::select(vec![2usize, 8]),
             rotation in proptest::sample::select(vec![0usize, 4]),
             per_master in 1u64..5,
             interval in proptest::sample::select(vec![7u64, 256]),
@@ -174,7 +170,7 @@ mod proptests {
                 let tracer = sys.tracer().expect("tracing enabled").snapshot();
                 (fingerprint(&sys), chrome_trace_json(&tracer, sys.probe(), sys.clock()))
             };
-            let (fp_par, json_par) = run(parallel(&cfg, wl, per_master, jobs));
+            let (fp_par, json_par) = run(parallel(&cfg, wl, per_master));
             let (fp_seq, json_seq) = run(sequential(&cfg, wl, per_master));
 
             prop_assert_eq!(fp_par, fp_seq);
@@ -186,9 +182,8 @@ mod proptests {
 mod edge_cases {
     use super::*;
 
-    /// Monolithic fabrics have no shard decomposition: the parallel
-    /// policy runs them as one domain, whatever the job count, and
-    /// matches the sequential path.
+    /// Monolithic fabrics have no shard decomposition: the default
+    /// policy runs them as one domain and matches the sequential path.
     #[test]
     fn parallel_policy_on_monolithic_fabric_falls_back() {
         let run = |policy| {
@@ -197,15 +192,14 @@ mod edge_cases {
             assert!(sys.run_until_drained(1_000_000));
             fingerprint(&sys)
         };
-        assert_eq!(run(RunPolicy::Sequential), run(RunPolicy::Parallel { jobs: 4 }));
+        assert_eq!(run(RunPolicy::Sequential), run(RunPolicy::Wake));
     }
 
-    /// A zero-cycle parallel budget must report the truth about the
-    /// current state without stepping, exactly like the sequential path.
+    /// A zero-cycle budget must report the truth about the current
+    /// state without stepping, exactly like the sequential path.
     #[test]
     fn zero_budget_parallel_drain_is_a_no_op() {
         let mut sys = HbmSystem::new(&SystemConfig::xilinx(), Workload::scs(), Some(4));
-        sys.set_run_policy(RunPolicy::Parallel { jobs: 4 });
         assert!(sys.run_until_drained(1_000_000), "setup drain failed");
         let before = fingerprint(&sys);
         assert!(sys.run_until_drained(0), "already-drained system must report true");
@@ -214,13 +208,12 @@ mod edge_cases {
         assert_eq!(fingerprint(&sys), before);
     }
 
-    /// An exhausted parallel budget stops exactly at the deadline, like
-    /// the sequential path does.
+    /// An exhausted budget stops exactly at the deadline, like the
+    /// sequential path does.
     #[test]
     fn exhausted_parallel_budget_stops_at_the_deadline() {
         let wl = Workload { rotation: 4, ..Workload::scs() };
         let mut sys = HbmSystem::new(&SystemConfig::xilinx(), wl, None);
-        sys.set_run_policy(RunPolicy::Parallel { jobs: 2 });
         let start = sys.now();
         assert!(!sys.run_until_drained(137), "unbounded workload cannot drain");
         assert_eq!(sys.now(), start + 137, "must stop exactly at the deadline");
@@ -235,8 +228,7 @@ mod edge_cases {
         let mut mixed = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
         let mut seq = sequential(&SystemConfig::xilinx(), wl, 64);
         for i in 0..8 {
-            let policy =
-                if i % 2 == 0 { RunPolicy::Parallel { jobs: 3 } } else { RunPolicy::Sequential };
+            let policy = if i % 2 == 0 { RunPolicy::Wake } else { RunPolicy::Sequential };
             mixed.set_run_policy(policy);
             mixed.run(500);
             seq.run(500);

@@ -8,14 +8,16 @@
 //!   run — including `fabric.id_stall_cycles`, which counts every
 //!   rejected retry of an ID-ordering stall on both sides of the reset;
 //! * the end cycle and every statistic of a bounded drain;
-//! * with the lifecycle tracer on, the measurement and the exported
-//!   Chrome trace.
+//! * with the lifecycle tracer on, the measurement, the exported Chrome
+//!   trace, and the snapshot's raw records and drop count.
 //!
 //! Inputs span the four fabrics, the four patterns, outstanding depths
 //! 1/2/8/32, bursts of 1 and 16 beats and rotations 0/1/8: every cell of
 //! that grid once at a short window, and random cells (with AXI ID
-//! counts, seeds and tracing drawn too) at a longer one.
+//! counts, read:write ratios, seeds, tracing and its record cap drawn
+//! too) at a longer one.
 
+use hbm_fpga::axi::TxnRecord;
 use hbm_fpga::core::export::chrome_trace_json;
 use hbm_fpga::core::measure::snapshot;
 use hbm_fpga::core::prelude::*;
@@ -67,22 +69,48 @@ fn row_json(m: &Measurement) -> String {
     serde_json::to_string(m).expect("Measurement serialises")
 }
 
+/// What tracing leaves behind: the Chrome export, plus the raw records
+/// and drop count the export does not show in full (hop and DRAM stamps,
+/// records past the cap).
+#[derive(Debug, PartialEq)]
+struct Traced {
+    export: String,
+    records: Vec<TxnRecord>,
+    dropped: u64,
+}
+
+fn traced(sys: &HbmSystem) -> Option<Traced> {
+    sys.tracer().map(|t| {
+        let snap = t.snapshot();
+        Traced {
+            export: chrome_trace_json(&snap, None, sys.clock()),
+            records: snap.records().to_vec(),
+            dropped: snap.dropped(),
+        }
+    })
+}
+
 /// The reference: `step` every cycle, with the statistics reset between
-/// warm-up and the measured window.
-fn reference_measure(cfg: &SystemConfig, wl: Workload, trace: bool) -> (String, Option<String>) {
-    reference_measure_for(cfg, wl, trace, WARMUP, CYCLES)
+/// warm-up and the measured window. `cap` is the tracer's record cap,
+/// `None` for an untraced run.
+fn reference_measure(
+    cfg: &SystemConfig,
+    wl: Workload,
+    cap: Option<usize>,
+) -> (String, Option<Traced>) {
+    reference_measure_for(cfg, wl, cap, WARMUP, CYCLES)
 }
 
 fn reference_measure_for(
     cfg: &SystemConfig,
     wl: Workload,
-    trace: bool,
+    cap: Option<usize>,
     warmup: u64,
     cycles: u64,
-) -> (String, Option<String>) {
+) -> (String, Option<Traced>) {
     let mut sys = HbmSystem::new(cfg, wl, None);
-    if trace {
-        sys.enable_tracing(1 << 12);
+    if let Some(cap) = cap {
+        sys.enable_tracing(cap);
     }
     for _ in 0..warmup {
         sys.step();
@@ -91,31 +119,29 @@ fn reference_measure_for(
     for _ in 0..cycles {
         sys.step();
     }
-    let export = sys.tracer().map(|t| chrome_trace_json(&t.snapshot(), None, sys.clock()));
-    (row_json(&snapshot(&sys, cycles)), export)
+    (row_json(&snapshot(&sys, cycles)), traced(&sys))
 }
 
 /// The same run through the wake-driven kernel.
-fn wake_measure(cfg: &SystemConfig, wl: Workload, trace: bool) -> (String, Option<String>) {
-    wake_measure_for(cfg, wl, trace, WARMUP, CYCLES)
+fn wake_measure(cfg: &SystemConfig, wl: Workload, cap: Option<usize>) -> (String, Option<Traced>) {
+    wake_measure_for(cfg, wl, cap, WARMUP, CYCLES)
 }
 
 fn wake_measure_for(
     cfg: &SystemConfig,
     wl: Workload,
-    trace: bool,
+    cap: Option<usize>,
     warmup: u64,
     cycles: u64,
-) -> (String, Option<String>) {
+) -> (String, Option<Traced>) {
     let mut sys = HbmSystem::new(cfg, wl, None);
-    if trace {
-        sys.enable_tracing(1 << 12);
+    if let Some(cap) = cap {
+        sys.enable_tracing(cap);
     }
     sys.run(warmup);
     sys.reset_stats();
     sys.run(cycles);
-    let export = sys.tracer().map(|t| chrome_trace_json(&t.snapshot(), None, sys.clock()));
-    (row_json(&snapshot(&sys, cycles)), export)
+    (row_json(&snapshot(&sys, cycles)), traced(&sys))
 }
 
 /// Every cell of the fabric × pattern × outstanding × burst × rotation
@@ -142,8 +168,8 @@ fn every_grid_cell_matches_the_reference_step() {
                             num_ids,
                             cell as u64,
                         );
-                        let reference = reference_measure_for(&cfg, wl, false, 150, 450).0;
-                        let wake = wake_measure_for(&cfg, wl, false, 150, 450).0;
+                        let reference = reference_measure_for(&cfg, wl, None, 150, 450).0;
+                        let wake = wake_measure_for(&cfg, wl, None, 150, 450).0;
                         assert_eq!(wake, reference, "{wl:?} on {:?}", cfg.fabric);
                         cell += 1;
                     }
@@ -175,7 +201,10 @@ mod proptests {
 
     proptest! {
         /// Measurement bytes (ID-stall counts across the warm-up reset
-        /// included) match the reference step, traced and untraced.
+        /// included) match the reference step, traced and untraced; a
+        /// traced run also matches its export and raw records, with
+        /// write-only traffic and a binding cap of 16 records per domain
+        /// among the draws.
         #[test]
         fn measurements_match_the_reference_step(
             fabric_sel in 0usize..4,
@@ -184,18 +213,24 @@ mod proptests {
             beats in prop::sample::select(vec![1u8, 16]),
             rotation in prop::sample::select(vec![0usize, 1, 8]),
             num_ids in prop::sample::select(vec![1usize, 4, 16]),
+            rw in prop::sample::select(vec![RwRatio::TWO_TO_ONE, RwRatio::WRITE_ONLY]),
             trace in any::<bool>(),
+            cap in prop::sample::select(vec![1usize << 12, 16]),
             seed in any::<u64>(),
         ) {
             let cfg = config_for(fabric_sel);
-            let wl = workload_for(fabric_sel, pattern_sel, outstanding, beats, rotation, num_ids, seed);
-            let (reference, reference_trace) = reference_measure(&cfg, wl, trace);
-            let (wake, wake_trace) = wake_measure(&cfg, wl, trace);
+            let wl = Workload {
+                rw,
+                ..workload_for(fabric_sel, pattern_sel, outstanding, beats, rotation, num_ids, seed)
+            };
+            let cap = trace.then_some(cap);
+            let (reference, reference_trace) = reference_measure(&cfg, wl, cap);
+            let (wake, wake_trace) = wake_measure(&cfg, wl, cap);
             prop_assert_eq!(&wake, &reference, "{:?} on {:?}", wl, cfg.fabric);
-            prop_assert_eq!(wake_trace, reference_trace);
+            prop_assert_eq!(wake_trace, reference_trace, "{:?} on {:?}", wl, cfg.fabric);
             if trace {
                 // Tracing is observation only: the untraced kernel agrees.
-                prop_assert_eq!(wake_measure(&cfg, wl, false).0, reference);
+                prop_assert_eq!(wake_measure(&cfg, wl, None).0, reference);
             }
         }
 
@@ -234,10 +269,37 @@ fn id_stall_counts_match_across_the_warmup_reset() {
     for fabric_sel in [0, 2] {
         let cfg = config_for(fabric_sel);
         let wl = workload_for(fabric_sel, 3, 8, 16, 0, 1, 11);
-        let (reference, _) = reference_measure(&cfg, wl, false);
-        let (wake, _) = wake_measure(&cfg, wl, false);
+        let (reference, _) = reference_measure(&cfg, wl, None);
+        let (wake, _) = wake_measure(&cfg, wl, None);
         assert_eq!(wake, reference);
         let m: Measurement = serde_json::from_str(&wake).expect("row parses");
         assert!(m.fabric.id_stall_cycles > 0, "fabric {fabric_sel} must stall on one ID");
+    }
+}
+
+/// Pinned traced cells the random draws may miss: write-only traffic
+/// that crosses switches on the sharded fabric (a posted write's ack can
+/// reach its master's domain before the port's domain issues the write
+/// to DRAM), at the default cap and at one that binds per domain.
+#[test]
+fn traced_posted_writes_across_switches_match_the_reference_records() {
+    let cfg = config_for(0);
+    for (pattern_sel, rotation) in [(0, 1), (3, 0)] {
+        for cap in [1 << 12, 16] {
+            let wl = Workload {
+                rw: RwRatio::WRITE_ONLY,
+                ..workload_for(0, pattern_sel, 8, 16, rotation, 4, 7)
+            };
+            let (reference, reference_trace) = reference_measure(&cfg, wl, Some(cap));
+            let (wake, wake_trace) = wake_measure(&cfg, wl, Some(cap));
+            assert_eq!(wake, reference, "{wl:?}");
+            let (wake_trace, reference_trace) = (wake_trace.unwrap(), reference_trace.unwrap());
+            assert_eq!(wake_trace.dropped, reference_trace.dropped, "{wl:?} cap {cap}");
+            assert!(wake_trace.records == reference_trace.records, "{wl:?} cap {cap}");
+            assert_eq!(wake_trace.export, reference_trace.export, "{wl:?} cap {cap}");
+            if cap == 16 {
+                assert!(wake_trace.dropped > 0, "a cap of 16 must bind");
+            }
+        }
     }
 }
