@@ -74,7 +74,7 @@ fn drive<F: Interconnect>(f: &mut F, shape: Shape) -> u64 {
                 let (addr, dir, id) = shape.nth(m, builders[m].issued());
                 builders[m].issue(AxiId(id), addr, BurstLen::of(16), dir, now).expect("legal burst")
             });
-            *slot = f.offer_request(now, txn).err();
+            *slot = f.offer_request(now, txn).err().map(|(txn, _)| txn);
         }
         f.tick(now, None);
         for (p, slot) in held.iter_mut().enumerate() {
@@ -83,7 +83,7 @@ fn drive<F: Interconnect>(f: &mut F, shape: Shape) -> u64 {
                 *slot = f.pop_request(now, port).map(|txn| Completion { txn, produced_at: now });
             }
             if let Some(c) = slot.take() {
-                *slot = f.offer_completion(now, port, c).err();
+                *slot = f.offer_completion(now, port, c).err().map(|(c, _)| c);
             }
         }
         for m in 0..N {

@@ -62,7 +62,7 @@ pub mod trace;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use crate::measure::{measure, Measurement};
-    pub use crate::system::{FabricKind, HbmSystem, RunPolicy, SystemConfig};
+    pub use crate::system::{FabricKind, HbmSystem, SystemConfig};
     pub use hbm_axi::{BurstLen, ClockDomain, Dir, MasterId, PortId};
     pub use hbm_traffic::{Pattern, RwRatio, Workload};
 }
@@ -72,4 +72,4 @@ pub use measure::{measure, Measurement};
 pub use metrics::Registry;
 pub use probe::{Probe, ProbeConfig, Snapshot};
 pub use profile::{PhaseReport, NUM_PHASES, PHASES};
-pub use system::{FabricKind, HbmSystem, RunPolicy, SystemConfig};
+pub use system::{FabricKind, HbmSystem, SystemConfig};

@@ -10,9 +10,10 @@
 //! Sampling is read-only: the probe looks at statistics counters and
 //! occupancy gauges and never feeds back into the simulation, so a probed
 //! run is bit-identical to an unprobed one (enforced by the tracing
-//! equivalence proptest). The system drives sampling by splitting its
-//! `run`/`run_until_drained` spans at window boundaries; the event-horizon
-//! fast-forward still skips idle stretches *within* each window.
+//! equivalence proptest). The system drives sampling by ending a barrier
+//! window of its `run`/`run_until_drained` kernel at each window
+//! boundary; the kernel still skips idle stretches *within* each window.
+//! The reference `HbmSystem::step` samples at the same points.
 
 use std::collections::VecDeque;
 

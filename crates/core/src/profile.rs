@@ -121,7 +121,7 @@ thread_local! {
 }
 
 /// Whether this thread is inside a [`begin`]/[`end`] window. The kernel
-/// reads this once per step/span entry and branches on the cached bool.
+/// reads this once per run and branches on the cached bool.
 #[inline]
 pub fn active() -> bool {
     ACTIVE.with(|a| a.get())

@@ -98,7 +98,7 @@ impl SystemConfig {
     /// The stock switch-fabric parameters for this platform, shared by
     /// the `Xilinx` and `XilinxTweaked` arms (the tweaks overlay it).
     fn xilinx_fabric_config(&self) -> FabricConfig {
-        let mut fc = FabricConfig::for_clock(self.clock);
+        let mut fc = FabricConfig::xcvu37p();
         fc.port_capacity = self.hbm.pch_capacity;
         fc.num_switches = self.hbm.num_pch / fc.ports_per_switch;
         fc
@@ -176,9 +176,9 @@ pub trait TrafficSource {
     /// The contract is one-sided: reporting earlier than the true next
     /// issue merely costs a no-op step, reporting later would skip real
     /// work. The default is the maximally conservative `Some(now)`;
-    /// sources whose idle `poll` is side-effect free override it to
-    /// enable the event-horizon fast-forward of [`HbmSystem::run`] (see
-    /// DESIGN.md §3).
+    /// sources whose idle `poll` is side-effect free override it so the
+    /// wake-driven kernel of [`HbmSystem::run`] can sleep them (see
+    /// DESIGN.md §3.12).
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -239,24 +239,6 @@ impl TrafficSource for BmTrafficGen {
     fn port_affine(&self) -> bool {
         BmTrafficGen::port_affine(self)
     }
-}
-
-/// How [`HbmSystem::run`] and [`HbmSystem::run_until_drained`] execute
-/// the simulation. Both produce bit-identical state at every cycle
-/// boundary (the `fastpath_equivalence`, `parallel_equivalence` and
-/// `wake_equivalence` tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RunPolicy {
-    /// The reference: the whole system stepped cycle by cycle through
-    /// [`HbmSystem::step`], skipping only cycles in which nothing at all
-    /// can happen. The equivalence suites compare against it.
-    Sequential,
-    /// The wake-driven kernel (DESIGN.md §3.12), the default. A sharded
-    /// fabric runs as per-switch execution domains, advanced one after
-    /// another between lateral-synchronisation barriers (DESIGN.md
-    /// §3.3); a monolithic fabric runs as one domain.
-    #[default]
-    Wake,
 }
 
 /// Amortises a domain's horizon over busy stretches.
@@ -331,9 +313,6 @@ pub struct HbmSystem {
     tracer: Option<Tracer>,
     /// Windowed time-series sampler, when attached.
     probe: Option<Probe>,
-    /// Execution policy for [`run`](HbmSystem::run) and
-    /// [`run_until_drained`](HbmSystem::run_until_drained).
-    policy: RunPolicy,
 }
 
 impl HbmSystem {
@@ -396,20 +375,7 @@ impl HbmSystem {
             cfg: cfg.clone(),
             tracer: None,
             probe: None,
-            policy: RunPolicy::default(),
         }
-    }
-
-    /// Selects the execution policy for subsequent runs. Changing the
-    /// policy mid-simulation is safe: both paths produce bit-identical
-    /// state at every cycle boundary.
-    pub fn set_run_policy(&mut self, policy: RunPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active execution policy.
-    pub fn run_policy(&self) -> RunPolicy {
-        self.policy
     }
 
     /// The configured accelerator clock.
@@ -486,16 +452,16 @@ impl HbmSystem {
     }
 
     /// Advances the system by one cycle — the reference step: every
-    /// component is visited, whether or not it can act.
+    /// component is visited, whether or not it can act. The equivalence
+    /// suites compare [`run`](Self::run) and
+    /// [`run_until_drained`](Self::run_until_drained) against a loop of
+    /// these. With a probe attached, a due sample is taken first, at the
+    /// same point the kernel takes it; a stepping loop closes its last
+    /// partial window with `run(0)`.
     pub fn step(&mut self) {
-        self.step_prof(profile::active());
-    }
-
-    /// [`step`](Self::step) with the phase-profiler activity bit hoisted
-    /// by the caller (the span loops read it once, not per cycle). When
-    /// `prof` is false every stamp is a never-taken branch on a register
-    /// bool — observation only, the simulated schedule is untouched.
-    fn step_prof(&mut self, prof: bool) {
+        if self.probe.as_ref().is_some_and(|p| p.next_sample_at() <= self.now) {
+            self.sample_probe();
+        }
         let now = self.now;
         let mut tracer = self.tracer.as_mut();
         // 1. Masters offer their head-of-line transaction.
@@ -509,14 +475,8 @@ impl HbmSystem {
                 }
             }
         }
-        if prof {
-            profile::lap(profile::Phase::GensTick);
-        }
         // 2. The interconnect moves flits.
         self.fabric.tick(now, tracer.as_deref_mut());
-        if prof {
-            profile::lap(profile::Phase::FabricTick);
-        }
         // 3. Memory side: deliver requests (one per port per cycle, as an
         //    AXI handshake would) and return completions.
         for (p, mc) in self.mcs.iter_mut().enumerate() {
@@ -530,21 +490,15 @@ impl HbmSystem {
                     mc.accept(now, txn);
                 }
             }
-            if prof {
-                profile::lap(profile::Phase::QueueOps);
-            }
             mc.tick(now, &mut self.banks.unit_mut(p), tracer.as_deref_mut());
-            if prof {
-                profile::lap(profile::Phase::McTick);
-            }
             if let Some(c) = self.stuck[p].take() {
-                if let Err(c) = self.fabric.offer_completion(now, port, c) {
+                if let Err((c, _)) = self.fabric.offer_completion(now, port, c) {
                     self.stuck[p] = Some(c);
                 }
             }
             if self.stuck[p].is_none() {
                 if let Some(c) = mc.pop_completion(now) {
-                    if let Err(c) = self.fabric.offer_completion(now, port, c) {
+                    if let Err((c, _)) = self.fabric.offer_completion(now, port, c) {
                         self.stuck[p] = Some(c);
                     }
                 }
@@ -559,174 +513,32 @@ impl HbmSystem {
                 gen.completed(now, &c.txn);
             }
         }
-        if prof {
-            profile::lap(profile::Phase::QueueOps);
-        }
         self.now += 1;
     }
 
-    /// A lower bound on the first cycle ≥ `now` at which
-    /// [`step`](Self::step) would do observable work: the minimum of
-    /// every component's own horizon
-    /// (sources, fabric, controllers, plus any completion stuck between
-    /// a controller and the return network). `None` means the system is
-    /// quiescent forever — nothing will happen without external changes.
-    ///
-    /// Cycles strictly before the returned bound are provably no-op
-    /// steps: every `poll` early-out is side-effect free, fabric ticks
-    /// only mutate on grants (which need a ready queue head), and the
-    /// controllers' idle paths mutate nothing. [`run`](Self::run) and
-    /// [`run_until_drained`](Self::run_until_drained) therefore jump
-    /// `now` straight to the bound
-    /// without stepping; statistics are bit-identical to naive stepping
-    /// (asserted by the `fastpath_equivalence` property test and
-    /// documented in DESIGN.md §3).
-    pub fn next_event(&self) -> Option<Cycle> {
-        let now = self.now;
-        if self.stuck.iter().any(|s| s.is_some()) {
-            return Some(now); // retried against the fabric every cycle
-        }
-        let mut best: Option<Cycle> = None;
-        let merge = |t: Option<Cycle>, best: &mut Option<Cycle>| -> bool {
-            match t {
-                Some(t) if t <= now => true, // immediate: caller returns Some(now)
-                Some(t) => {
-                    if best.is_none_or(|b| t < b) {
-                        *best = Some(t);
-                    }
-                    false
-                }
-                None => false,
-            }
-        };
-        for g in &self.gens {
-            if merge(g.next_event(now), &mut best) {
-                return Some(now);
-            }
-        }
-        if merge(self.fabric.next_event(now), &mut best) {
-            return Some(now);
-        }
-        for mc in &self.mcs {
-            if merge(mc.next_event(now), &mut best) {
-                return Some(now);
-            }
-        }
-        best
-    }
-
-    /// Runs for `cycles` cycles, fast-forwarding over provably idle gaps
-    /// (the wake-driven kernel under the default policy, the reference
-    /// step under [`RunPolicy::Sequential`]). With a probe attached, the
-    /// span is split at sampling boundaries; the stepped cycles (and
-    /// hence all statistics) are identical either way, because every
-    /// skip clamps to the span's end and re-derives the same horizon on
-    /// re-entry.
+    /// Runs for `cycles` cycles through the wake-driven kernel, which
+    /// skips provably idle cycles and components. With a probe attached,
+    /// samples land on every window boundary and the last (possibly
+    /// partial) window is closed at the end.
     pub fn run(&mut self, cycles: Cycle) {
-        if self.policy == RunPolicy::Wake {
-            self.conduct(cycles, false);
-            return;
-        }
-        if self.probe.is_none() {
-            return self.run_span(cycles);
-        }
-        let deadline = self.now.saturating_add(cycles);
-        while self.now < deadline {
-            let next = self.probe.as_ref().expect("probe attached").next_sample_at();
-            if next <= self.now {
-                self.sample_probe();
-                continue;
-            }
-            self.run_span(next.min(deadline) - self.now);
-            if self.now >= next {
-                self.sample_probe();
-            }
-        }
-        self.sample_probe_final();
-    }
-
-    /// The un-probed reference span loop behind [`run`](HbmSystem::run)
-    /// under [`RunPolicy::Sequential`].
-    fn run_span(&mut self, cycles: Cycle) {
-        let prof = profile::active();
-        let deadline = self.now.saturating_add(cycles);
-        while self.now < deadline {
-            let ev = self.next_event();
-            if prof {
-                profile::lap(profile::Phase::HorizonCompute);
-            }
-            match ev {
-                Some(t) if t <= self.now => self.step_prof(prof),
-                Some(t) => self.now = t.min(deadline),
-                None => self.now = deadline,
-            }
-        }
+        self.conduct(cycles, false);
     }
 
     /// Runs until every generator, the fabric, and every controller are
     /// drained, or until `max_cycles` more cycles have elapsed. Returns
     /// `true` on a clean drain (in particular: immediately, without
     /// stepping, when the system is already drained — even with
-    /// `max_cycles == 0`).
-    ///
-    /// With a probe attached the span is split at sampling boundaries,
-    /// exactly like [`run`](HbmSystem::run).
+    /// `max_cycles == 0`). A drain stops on the same cycle as a
+    /// [`step`](Self::step) loop that checks [`drained`](Self::drained)
+    /// before each step. An attached probe is sampled as in
+    /// [`run`](Self::run).
     pub fn run_until_drained(&mut self, max_cycles: Cycle) -> bool {
-        if self.policy == RunPolicy::Wake {
-            return self.conduct(max_cycles, true);
-        }
-        if self.probe.is_none() {
-            return self.drain_span(max_cycles);
-        }
-        let deadline = self.now.saturating_add(max_cycles);
-        let drained = loop {
-            let next = self.probe.as_ref().expect("probe attached").next_sample_at();
-            if next <= self.now {
-                self.sample_probe();
-                continue;
-            }
-            if self.drain_span(next.min(deadline) - self.now) {
-                break true;
-            }
-            if self.now >= next {
-                self.sample_probe();
-            }
-            if self.now >= deadline {
-                break false;
-            }
-        };
-        self.sample_probe_final();
-        drained
-    }
-
-    /// The un-probed reference drain loop behind
-    /// [`run_until_drained`](HbmSystem::run_until_drained) under
-    /// [`RunPolicy::Sequential`].
-    fn drain_span(&mut self, max_cycles: Cycle) -> bool {
-        let prof = profile::active();
-        let deadline = self.now.saturating_add(max_cycles);
-        loop {
-            if self.drained() {
-                return true;
-            }
-            if self.now >= deadline {
-                return false;
-            }
-            let ev = self.next_event();
-            if prof {
-                profile::lap(profile::Phase::HorizonCompute);
-            }
-            match ev {
-                Some(t) if t <= self.now => self.step_prof(prof),
-                Some(t) => self.now = t.min(deadline),
-                None => self.now = deadline,
-            }
-        }
+        self.conduct(max_cycles, true)
     }
 
     /// The wake-driven kernel behind [`run`](HbmSystem::run) and
-    /// [`run_until_drained`](HbmSystem::run_until_drained) under
-    /// [`RunPolicy::Wake`] (DESIGN.md §3.3, §3.12).
+    /// [`run_until_drained`](HbmSystem::run_until_drained) (DESIGN.md
+    /// §3.3, §3.12).
     ///
     /// Work proceeds in *supersteps*: each iteration picks a barrier
     /// cycle `W` no farther than the fabric's lateral-synchronisation
@@ -745,8 +557,8 @@ impl HbmSystem {
     /// ports end-to-end): there the horizon clamp is dropped and domains
     /// sprint straight to the deadline.
     fn conduct(&mut self, budget: Cycle, drain: bool) -> bool {
-        // Wakes are only kept by this kernel; anything else (the
-        // reference step, a policy switch) may have moved state since.
+        // Wakes are only kept by this kernel; the reference step may
+        // have moved state since the last conducted run.
         self.source_wake.fill(0);
         self.port_wake.fill(0);
         let prof = profile::active();
@@ -1015,7 +827,7 @@ trait DomainFabric {
 
 impl DomainFabric for SwitchShard {
     fn offer(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
-        self.offer_request_hinted(now, txn)
+        SwitchShard::offer_request(self, now, txn)
     }
 
     fn tick(
@@ -1042,7 +854,7 @@ impl DomainFabric for SwitchShard {
         lp: usize,
         c: Completion,
     ) -> Result<(), (Completion, Cycle)> {
-        self.offer_completion_hinted(now, lp, c)
+        SwitchShard::offer_completion(self, now, lp, c)
     }
 
     fn pop_completion(&mut self, now: Cycle, lm: usize) -> Option<Completion> {
@@ -1062,7 +874,7 @@ impl DomainFabric for SwitchShard {
 /// so its hints for one are the next cycle.
 impl DomainFabric for dyn Interconnect {
     fn offer(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
-        self.offer_request_hinted(now, txn)
+        Interconnect::offer_request(self, now, txn)
     }
 
     fn tick(
@@ -1089,7 +901,7 @@ impl DomainFabric for dyn Interconnect {
         lp: usize,
         c: Completion,
     ) -> Result<(), (Completion, Cycle)> {
-        self.offer_completion_hinted(now, PortId(lp as u16), c)
+        Interconnect::offer_completion(self, now, PortId(lp as u16), c)
     }
 
     fn pop_completion(&mut self, now: Cycle, lm: usize) -> Option<Completion> {
@@ -1405,7 +1217,7 @@ mod tests {
         assert_eq!(a.1, b.1, "identical seeds must give identical results");
     }
 
-    /// Stats fingerprint for reference-vs-domains parity checks.
+    /// Stats fingerprint for kernel-vs-reference parity checks.
     fn fingerprint(sys: &HbmSystem) -> (Cycle, u64, u64, f64, u64) {
         let gens = sys.gen_stats();
         (
@@ -1417,46 +1229,53 @@ mod tests {
         )
     }
 
-    #[test]
-    fn default_policy_matches_sequential_under_lateral_traffic() {
-        let wl = Workload { rotation: 4, ..Workload::scs() };
-        let run = |policy| {
-            let mut sys = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
-            sys.set_run_policy(policy);
-            assert!(sys.run_until_drained(200_000));
-            fingerprint(&sys)
-        };
-        let seq = run(RunPolicy::Sequential);
-        let wake = run(RunPolicy::default());
-        assert_eq!(seq, wake, "the domains' drain must be bit-identical to sequential");
-        assert!(seq.4 > 0, "rotation-4 traffic must exercise the lateral boundaries");
+    /// Drains through the reference step alone, stopping where
+    /// `run_until_drained` does.
+    fn step_until_drained(sys: &mut HbmSystem, budget: Cycle) -> bool {
+        let deadline = sys.now() + budget;
+        while !sys.drained() {
+            if sys.now() >= deadline {
+                return false;
+            }
+            sys.step();
+        }
+        true
     }
 
     #[test]
-    fn default_policy_matches_sequential_on_fixed_span() {
-        let run = |policy| {
-            let mut sys = HbmSystem::new(&SystemConfig::xilinx(), Workload::ccra(), None);
-            sys.set_run_policy(policy);
-            sys.run(20_000);
-            fingerprint(&sys)
-        };
-        assert_eq!(run(RunPolicy::Sequential), run(RunPolicy::default()));
+    fn kernel_matches_the_reference_step_under_lateral_traffic() {
+        let wl = Workload { rotation: 4, ..Workload::scs() };
+        let mut kernel = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
+        let mut reference = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(64));
+        assert!(kernel.run_until_drained(200_000));
+        assert!(step_until_drained(&mut reference, 200_000));
+        let fp = fingerprint(&reference);
+        assert_eq!(fingerprint(&kernel), fp, "the domains' drain must match the reference");
+        assert!(fp.4 > 0, "rotation-4 traffic must exercise the lateral boundaries");
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_step_on_fixed_span() {
+        let mut kernel = HbmSystem::new(&SystemConfig::xilinx(), Workload::ccra(), None);
+        let mut reference = HbmSystem::new(&SystemConfig::xilinx(), Workload::ccra(), None);
+        kernel.run(20_000);
+        for _ in 0..20_000 {
+            reference.step();
+        }
+        assert_eq!(fingerprint(&kernel), fingerprint(&reference));
     }
 
     #[test]
     fn port_affine_traffic_sprints_without_barriers() {
         // SCS at rotation 0 never crosses a lateral bus: the conductor
-        // runs full-span windows and must still agree with sequential.
-        let run = |policy| {
-            let mut sys = HbmSystem::new(&SystemConfig::xilinx(), Workload::scs(), Some(128));
-            sys.set_run_policy(policy);
-            assert!(sys.run_until_drained(200_000));
-            fingerprint(&sys)
-        };
-        let seq = run(RunPolicy::Sequential);
-        let wake = run(RunPolicy::default());
-        assert_eq!(seq, wake);
-        assert_eq!(seq.4, 0);
+        // runs full-span windows and must still agree with the reference.
+        let mut kernel = HbmSystem::new(&SystemConfig::xilinx(), Workload::scs(), Some(128));
+        let mut reference = HbmSystem::new(&SystemConfig::xilinx(), Workload::scs(), Some(128));
+        assert!(kernel.run_until_drained(200_000));
+        assert!(step_until_drained(&mut reference, 200_000));
+        let fp = fingerprint(&reference);
+        assert_eq!(fingerprint(&kernel), fp);
+        assert_eq!(fp.4, 0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! [`run_pair`] drives a fabric and a reference copy of it through
 //! the same seeded random traffic and asserts, every cycle, that they
-//! agree on everything observable: each offer's acceptance, each
-//! request and completion popped, [`Interconnect::stats`], and the
-//! next-event horizon. The reference advances with a caller-supplied
+//! agree on everything observable: each offer's acceptance and retry
+//! hint, each request and completion popped, [`Interconnect::stats`],
+//! and the next-event horizon. The reference advances with a caller-supplied
 //! tick, so a fabric can be checked against a retained reference
 //! implementation of its own arbitration.
 

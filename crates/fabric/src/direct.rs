@@ -45,15 +45,7 @@ impl Interconnect for DirectFabric {
         self.map.port_of(addr)
     }
 
-    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
-        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
-    }
-
-    fn offer_request_hinted(
-        &mut self,
-        now: Cycle,
-        txn: Transaction,
-    ) -> Result<(), (Transaction, Retry)> {
+    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
         let m = txn.master.idx();
         assert_eq!(
             self.map.port_of(txn.addr).idx(),
@@ -87,15 +79,6 @@ impl Interconnect for DirectFabric {
     }
 
     fn offer_completion(
-        &mut self,
-        now: Cycle,
-        port: PortId,
-        c: Completion,
-    ) -> Result<(), Completion> {
-        self.offer_completion_hinted(now, port, c).map_err(|(c, _)| c)
-    }
-
-    fn offer_completion_hinted(
         &mut self,
         now: Cycle,
         port: PortId,

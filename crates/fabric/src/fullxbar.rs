@@ -80,15 +80,7 @@ impl Interconnect for FullCrossbarFabric {
         self.map.port_of(addr)
     }
 
-    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
-        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
-    }
-
-    fn offer_request_hinted(
-        &mut self,
-        now: Cycle,
-        txn: Transaction,
-    ) -> Result<(), (Transaction, Retry)> {
+    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
         let m = txn.master.idx();
         let port = self.map.port_of(txn.addr);
         if self.id_track.conflicts(m, txn.dir, txn.id.0, port) {
@@ -120,15 +112,6 @@ impl Interconnect for FullCrossbarFabric {
     }
 
     fn offer_completion(
-        &mut self,
-        now: Cycle,
-        port: PortId,
-        c: Completion,
-    ) -> Result<(), Completion> {
-        self.offer_completion_hinted(now, port, c).map_err(|(c, _)| c)
-    }
-
-    fn offer_completion_hinted(
         &mut self,
         now: Cycle,
         port: PortId,

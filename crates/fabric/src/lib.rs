@@ -31,13 +31,13 @@
 //!
 //! ```
 //! use hbm_fabric::{FabricConfig, Interconnect, XilinxFabric};
-//! use hbm_axi::{AxiId, BurstLen, ClockDomain, Dir, MasterId, PortId, TxnBuilder};
+//! use hbm_axi::{AxiId, BurstLen, Dir, MasterId, PortId, TxnBuilder};
 //!
-//! let mut fabric = XilinxFabric::new(FabricConfig::for_clock(ClockDomain::ACC_300));
+//! let mut fabric = XilinxFabric::new(FabricConfig::xcvu37p());
 //! let mut b = TxnBuilder::new(MasterId(0));
 //! // Master 0 reads from PCH 4 — one switch to the right.
 //! let txn = b.issue(AxiId(0), 4 * (256 << 20), BurstLen::of(1), Dir::Read, 0).unwrap();
-//! fabric.offer_request(0, txn).unwrap();
+//! assert!(fabric.offer_request(0, txn).is_ok());
 //! for now in 0..100 {
 //!     fabric.tick(now, None);
 //!     if fabric.pop_request(now, PortId(4)).is_some() {
@@ -157,20 +157,11 @@ pub trait Interconnect {
 
     /// Offers a transaction from its master's AXI port. Returns the
     /// transaction back when it cannot be accepted this cycle (port
-    /// serialization, full ingress queue, or an AXI ID-ordering stall).
-    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction>;
-
-    /// [`offer_request`](Interconnect::offer_request) that also says when
-    /// a rejected offer is next worth repeating. The hint is one-sided
-    /// like [`next_event`](Interconnect::next_event); the default,
-    /// `Retry::At(now + 1)`, is always correct.
-    fn offer_request_hinted(
-        &mut self,
-        now: Cycle,
-        txn: Transaction,
-    ) -> Result<(), (Transaction, Retry)> {
-        self.offer_request(now, txn).map_err(|txn| (txn, Retry::At(now + 1)))
-    }
+    /// serialization, full ingress queue, or an AXI ID-ordering stall),
+    /// with a hint of when repeating the offer can next matter. The hint
+    /// is one-sided like [`next_event`](Interconnect::next_event):
+    /// `Retry::At(now + 1)` is always correct.
+    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)>;
 
     /// The request waiting at a pseudo-channel port, if any is ready.
     fn peek_request(&self, now: Cycle, port: PortId) -> Option<&Transaction>;
@@ -180,26 +171,15 @@ pub trait Interconnect {
 
     /// Offers a completion (read data / write ack) from a pseudo-channel
     /// port for return routing. Returns it back when the port's return
-    /// link cannot accept it this cycle.
+    /// link cannot accept it this cycle: `Err((c, t))` promises that
+    /// offering it before cycle `t` fails with no effect (`now + 1` is
+    /// always correct).
     fn offer_completion(
         &mut self,
         now: Cycle,
         port: PortId,
         c: Completion,
-    ) -> Result<(), Completion>;
-
-    /// [`offer_completion`](Interconnect::offer_completion) that also says
-    /// when a rejected completion is next worth offering: `Err((c, t))`
-    /// promises that offering it before cycle `t` fails with no effect.
-    /// The default, `now + 1`, is always correct.
-    fn offer_completion_hinted(
-        &mut self,
-        now: Cycle,
-        port: PortId,
-        c: Completion,
-    ) -> Result<(), (Completion, Cycle)> {
-        self.offer_completion(now, port, c).map_err(|c| (c, now + 1))
-    }
+    ) -> Result<(), (Completion, Cycle)>;
 
     /// Delivers the next completion for a master, if one has arrived.
     fn pop_completion(&mut self, now: Cycle, master: MasterId) -> Option<Completion>;

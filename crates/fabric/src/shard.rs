@@ -535,18 +535,14 @@ impl SwitchShard {
 
     /// Offers a transaction from one of this shard's masters. Mirrors the
     /// fabric-level contract: `Err` returns the transaction on port
-    /// serialization, a full ingress queue, or an AXI ID-ordering stall.
-    pub fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
-        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
-    }
-
-    /// [`offer_request`](Self::offer_request) that also says when a
-    /// rejected offer is next worth repeating (see [`Retry`]). An
-    /// ID-ordering stall lasts until a completion reaches the master; a
-    /// busy ingress link frees when its serialisation ends; a full one
-    /// gives `Retry::At(Cycle::MAX)`, because only this shard's tick frees
-    /// it, and [`tick_and_wake`](Self::tick_and_wake) reports that.
-    pub fn offer_request_hinted(
+    /// serialization, a full ingress queue, or an AXI ID-ordering stall,
+    /// with a hint of when repeating the offer can next matter (see
+    /// [`Retry`]). An ID-ordering stall lasts until a completion reaches
+    /// the master; a busy ingress link frees when its serialisation ends;
+    /// a full one gives `Retry::At(Cycle::MAX)`, because only this
+    /// shard's tick frees it, and [`tick_and_wake`](Self::tick_and_wake)
+    /// reports that.
+    pub fn offer_request(
         &mut self,
         now: Cycle,
         txn: Transaction,
@@ -593,22 +589,11 @@ impl SwitchShard {
     }
 
     /// Offers a completion from local port `lp` for return routing.
-    pub fn offer_completion(
-        &mut self,
-        now: Cycle,
-        lp: usize,
-        c: Completion,
-    ) -> Result<(), Completion> {
-        self.offer_completion_hinted(now, lp, c).map_err(|(c, _)| c)
-    }
-
-    /// [`offer_completion`](Self::offer_completion) that also says when a
-    /// rejected completion is next worth offering: `Err((c, t))`
-    /// promises failure with no effect before cycle `t` — the end of the
-    /// return link's serialisation, or `Cycle::MAX` while it is full
-    /// (only this shard's tick frees it, and
+    /// `Err((c, t))` promises failure with no effect before cycle `t` —
+    /// the end of the return link's serialisation, or `Cycle::MAX` while
+    /// it is full (only this shard's tick frees it, and
     /// [`tick_and_wake`](Self::tick_and_wake) reports that).
-    pub fn offer_completion_hinted(
+    pub fn offer_completion(
         &mut self,
         now: Cycle,
         lp: usize,
@@ -648,8 +633,8 @@ impl SwitchShard {
     /// [`tick`](Self::tick) that also lowers `masters[lm]` (`ports[lp]`)
     /// to `now` for every local master (port) whose ingress (completion)
     /// link it pops: a rejected offer there may succeed from this cycle
-    /// on (see [`offer_request_hinted`](Self::offer_request_hinted) and
-    /// [`offer_completion_hinted`](Self::offer_completion_hinted)). Each
+    /// on (see [`offer_request`](Self::offer_request) and
+    /// [`offer_completion`](Self::offer_completion)). Each
     /// slice is empty or holds one entry per local master (port). A lent
     /// `tracer` takes a lateral-hop stamp for every grant onto a lateral
     /// bus.
@@ -951,7 +936,7 @@ fn merged<'a>(stats: impl Iterator<Item = &'a LinkStats>) -> LinkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbm_axi::{AxiId, BurstLen, ClockDomain, Dir, MasterId, TxnBuilder};
+    use hbm_axi::{AxiId, BurstLen, Dir, MasterId, TxnBuilder};
 
     fn flit(seq: u64) -> Flit {
         let t =
@@ -1009,7 +994,7 @@ mod tests {
 
     #[test]
     fn shard_local_round_trip() {
-        let cfg = FabricConfig::for_clock(ClockDomain::ACC_300);
+        let cfg = FabricConfig::xcvu37p();
         let mut sh = SwitchShard::new(&cfg, 0);
         let mut b = TxnBuilder::new(MasterId(1));
         let txn = b.issue(AxiId(0), 256 << 20, BurstLen::of(1), Dir::Read, 0).unwrap();
@@ -1032,7 +1017,7 @@ mod tests {
 
     #[test]
     fn remote_request_lands_in_east_outbox() {
-        let cfg = FabricConfig::for_clock(ClockDomain::ACC_300);
+        let cfg = FabricConfig::xcvu37p();
         let mut sh = SwitchShard::new(&cfg, 0);
         let mut b = TxnBuilder::new(MasterId(0));
         // Port 4 lives on switch 1 — must go east.

@@ -28,7 +28,7 @@
 //! ports, which is what lets the simulation core advance switches
 //! independently between synchronisation horizons.
 
-use hbm_axi::{Addr, ClockDomain, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
+use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::shard::SwitchShard;
@@ -74,8 +74,9 @@ pub struct FabricConfig {
 }
 
 impl FabricConfig {
-    /// The XCVU37P fabric for a given accelerator clock.
-    pub fn for_clock(_clock: ClockDomain) -> FabricConfig {
+    /// The stock XCVU37P switch fabric. Its rates are beats per
+    /// accelerator cycle, so one configuration serves every clock.
+    pub fn xcvu37p() -> FabricConfig {
         FabricConfig {
             num_switches: 8,
             masters_per_switch: 4,
@@ -210,18 +211,9 @@ impl Interconnect for XilinxFabric {
         self.map.port_of(addr)
     }
 
-    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
+    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
         let (s, _) = self.master_shard(txn.master.idx());
         self.shards[s].offer_request(now, txn)
-    }
-
-    fn offer_request_hinted(
-        &mut self,
-        now: Cycle,
-        txn: Transaction,
-    ) -> Result<(), (Transaction, Retry)> {
-        let (s, _) = self.master_shard(txn.master.idx());
-        self.shards[s].offer_request_hinted(now, txn)
     }
 
     fn peek_request(&self, now: Cycle, port: PortId) -> Option<&Transaction> {
@@ -239,19 +231,9 @@ impl Interconnect for XilinxFabric {
         now: Cycle,
         port: PortId,
         c: Completion,
-    ) -> Result<(), Completion> {
-        let (s, lp) = self.port_shard(port.idx());
-        self.shards[s].offer_completion(now, lp, c)
-    }
-
-    fn offer_completion_hinted(
-        &mut self,
-        now: Cycle,
-        port: PortId,
-        c: Completion,
     ) -> Result<(), (Completion, Cycle)> {
         let (s, lp) = self.port_shard(port.idx());
-        self.shards[s].offer_completion_hinted(now, lp, c)
+        self.shards[s].offer_completion(now, lp, c)
     }
 
     fn pop_completion(&mut self, now: Cycle, master: MasterId) -> Option<Completion> {
@@ -263,7 +245,7 @@ impl Interconnect for XilinxFabric {
         for sh in &mut self.shards {
             sh.tick_and_wake(now, &mut [], &mut [], tracer.as_deref_mut());
         }
-        // Sequential stepping reconciles every boundary each cycle; the
+        // The reference step reconciles every boundary each cycle; the
         // cycle stamps on lateral flits and credits make this equivalent
         // to the execution domains' coarser barriers.
         ShardedFabric::reconcile(self);
@@ -361,7 +343,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn fabric() -> XilinxFabric {
-        XilinxFabric::new(FabricConfig::for_clock(ClockDomain::ACC_300))
+        XilinxFabric::new(FabricConfig::xcvu37p())
     }
 
     fn read_txn(b: &mut TxnBuilder, addr: u64, now: Cycle) -> Transaction {
@@ -382,7 +364,7 @@ mod tests {
         while done.len() < expected && now < 100_000 {
             let mut still = Vec::new();
             for t in pending.drain(..) {
-                if let Err(t) = f.offer_request(now, t) {
+                if let Err((t, _)) = f.offer_request(now, t) {
                     still.push(t);
                 }
             }
@@ -391,14 +373,14 @@ mod tests {
             for (p, slot) in stuck.iter_mut().enumerate() {
                 let port = PortId(p as u16);
                 if let Some(c) = slot.take() {
-                    if let Err(c) = f.offer_completion(now, port, c) {
+                    if let Err((c, _)) = f.offer_completion(now, port, c) {
                         *slot = Some(c);
                     }
                 }
                 if slot.is_none() {
                     if let Some(t) = f.pop_request(now, port) {
                         let c = Completion { txn: t, produced_at: now };
-                        if let Err(c) = f.offer_completion(now, port, c) {
+                        if let Err((c, _)) = f.offer_completion(now, port, c) {
                             *slot = Some(c);
                         }
                     }
@@ -610,7 +592,7 @@ mod tests {
                 num_switches: switches,
                 lateral_buses: buses,
                 port_capacity: cap,
-                ..FabricConfig::for_clock(ClockDomain::ACC_300)
+                ..FabricConfig::xcvu37p()
             };
             let mut fast = XilinxFabric::new(cfg);
             let mut reference = XilinxFabric::new(cfg);

@@ -130,17 +130,9 @@ impl Interconnect for MaoFabric {
         self.map.port_of(addr)
     }
 
-    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), Transaction> {
-        self.offer_request_hinted(now, txn).map_err(|(txn, _)| txn)
-    }
-
     /// A full reorder buffer frees only when an in-order completion is
     /// delivered to the master.
-    fn offer_request_hinted(
-        &mut self,
-        now: Cycle,
-        txn: Transaction,
-    ) -> Result<(), (Transaction, Retry)> {
+    fn offer_request(&mut self, now: Cycle, txn: Transaction) -> Result<(), (Transaction, Retry)> {
         let m = txn.master.idx();
         if !self.rob[m].can_reserve() {
             self.rob_stall_cycles += 1;
@@ -180,15 +172,6 @@ impl Interconnect for MaoFabric {
     }
 
     fn offer_completion(
-        &mut self,
-        now: Cycle,
-        port: PortId,
-        c: Completion,
-    ) -> Result<(), Completion> {
-        self.offer_completion_hinted(now, port, c).map_err(|(c, _)| c)
-    }
-
-    fn offer_completion_hinted(
         &mut self,
         now: Cycle,
         port: PortId,
@@ -418,7 +401,7 @@ mod tests {
         while done.len() < expected && now < 100_000 {
             let mut still = Vec::new();
             for t in pending.drain(..) {
-                if let Err(t) = f.offer_request(now, t) {
+                if let Err((t, _)) = f.offer_request(now, t) {
                     still.push(t);
                 }
             }
@@ -427,14 +410,14 @@ mod tests {
             for (p, slot) in stuck.iter_mut().enumerate() {
                 let port = PortId(p as u16);
                 if let Some(c) = slot.take() {
-                    if let Err(c) = f.offer_completion(now, port, c) {
+                    if let Err((c, _)) = f.offer_completion(now, port, c) {
                         *slot = Some(c);
                     }
                 }
                 if slot.is_none() {
                     if let Some(t) = f.pop_request(now, port) {
                         let c = Completion { txn: t, produced_at: now };
-                        if let Err(c) = f.offer_completion(now, port, c) {
+                        if let Err((c, _)) = f.offer_completion(now, port, c) {
                             *slot = Some(c);
                         }
                     }

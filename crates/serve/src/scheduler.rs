@@ -548,10 +548,9 @@ impl Server {
         let threads = (0..workers)
             .map(|w| {
                 let shared = shared.clone();
-                let default_timeout = cfg.default_timeout_ms;
                 std::thread::Builder::new()
                     .name(format!("hbm-serve-{w}"))
-                    .spawn(move || worker_loop(&shared, default_timeout))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -846,7 +845,7 @@ fn register_depth_gauges(reg: &Registry, shared: &Arc<Shared>) {
     });
 }
 
-fn worker_loop(shared: &Shared, _default_timeout: Option<u64>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let claimed = {
             let mut st = shared.state.lock().unwrap();

@@ -1,18 +1,28 @@
 //! Fast-forwarding must be invisible: a system driven by `run` /
 //! `run_until_drained` (the wake-driven kernel, which skips provably idle
 //! cycles and components) must end in exactly the same state as one
-//! stepped naively cycle by cycle.
+//! stepped naively cycle by cycle through `HbmSystem::step`, the one
+//! reference every equivalence suite compares against.
 //!
 //! "Exactly" means bit-identical: final cycle count, every generator's
 //! stats (including full latency histograms), every controller's counters
-//! (including the `f64` bus-time accumulators), and the fabric's link
-//! counters. See DESIGN.md §3 for the one-sided horizon contract these
+//! (including the `f64` bus-time accumulators), the fabric's link
+//! counters, and — with the tracer and the probe attached — the exported
+//! Chrome trace and probe time-series, byte for byte. Inputs span the
+//! four fabrics and four patterns, trace replays whose sources wake on
+//! future timestamps, exports of rotated workloads, and runs that
+//! interleave the kernel with the reference step. `parallel_equivalence`
+//! drains and windows rotated workloads, whose flits cross every lateral
+//! boundary of the switch network (DESIGN.md §3.3), against the same
+//! reference. See DESIGN.md §3 for the one-sided horizon contract these
 //! tests enforce.
 
+use hbm_fpga::core::export::chrome_trace_json;
 use hbm_fpga::core::prelude::*;
+use hbm_fpga::core::trace::replay_system;
 use hbm_fpga::fabric::FabricStats;
 use hbm_fpga::mem::MemStats;
-use hbm_fpga::traffic::GenStats;
+use hbm_fpga::traffic::{GenStats, Trace};
 
 /// Everything observable about a finished (or paused) system.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,16 +74,20 @@ fn config_for(fabric_sel: usize) -> SystemConfig {
     }
 }
 
+/// A workload for the picked fabric. The direct fabric only routes
+/// master *i* to port *i*, so cross-channel patterns and rotation are out
+/// of its domain; it gets a local pattern and no rotation. Elsewhere the
+/// rotation offsets SCS onto other switches' channels.
 fn workload_for(
     fabric_sel: usize,
     pattern_sel: usize,
+    rotation: usize,
     outstanding: usize,
     num_ids: usize,
     seed: u64,
 ) -> Workload {
-    // The direct fabric only routes master i -> port i, so cross-channel
-    // patterns are out of its domain; force a local pattern there.
-    let pattern = if fabric_sel == 3 {
+    let direct = fabric_sel == 3;
+    let pattern = if direct {
         if pattern_sel.is_multiple_of(2) {
             Pattern::Scs
         } else {
@@ -87,7 +101,8 @@ fn workload_for(
             _ => Pattern::Ccra,
         }
     };
-    Workload { pattern, outstanding, num_ids, seed, ..Workload::scs() }
+    let rotation = if direct { 0 } else { rotation };
+    Workload { pattern, rotation, outstanding, num_ids, seed, ..Workload::scs() }
 }
 
 mod proptests {
@@ -108,7 +123,7 @@ mod proptests {
             seed in proptest::arbitrary::any::<u64>(),
         ) {
             let cfg = config_for(fabric_sel);
-            let wl = workload_for(fabric_sel, pattern_sel, outstanding, 1 << ids_log2, seed);
+            let wl = workload_for(fabric_sel, pattern_sel, 0, outstanding, 1 << ids_log2, seed);
 
             let mut fast = HbmSystem::new(&cfg, wl, Some(per_master));
             let mut slow = HbmSystem::new(&cfg, wl, Some(per_master));
@@ -133,7 +148,7 @@ mod proptests {
             seed in proptest::arbitrary::any::<u64>(),
         ) {
             let cfg = config_for(fabric_sel);
-            let wl = workload_for(fabric_sel, pattern_sel, outstanding, 4, seed);
+            let wl = workload_for(fabric_sel, pattern_sel, 0, outstanding, 4, seed);
 
             let mut fast = HbmSystem::new(&cfg, wl, Some(per_master));
             let mut slow = HbmSystem::new(&cfg, wl, Some(per_master));
@@ -146,6 +161,36 @@ mod proptests {
                 naive_run(&mut slow, window);
                 prop_assert_eq!(fingerprint(&fast), fingerprint(&slow));
             }
+        }
+
+        /// A trace replay drains like the reference step. Replay sources
+        /// are the only ones whose horizon reports future issue cycles
+        /// (the trace's timestamps), so an event spaced apart from the
+        /// last must still issue on exactly its recorded cycle.
+        #[test]
+        fn trace_replays_are_bit_identical(
+            fabric_sel in 0usize..4,
+            pattern_sel in 0usize..4,
+            rotation in proptest::sample::select(vec![0usize, 4]),
+            spacing in proptest::sample::select(vec![0u64, 7, 100]),
+            outstanding in proptest::sample::select(vec![1usize, 16]),
+            per_master in 1u64..6,
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let cfg = config_for(fabric_sel);
+            let wl = workload_for(fabric_sel, pattern_sel, rotation, 8, 4, seed);
+            let trace =
+                Trace::capture(wl, cfg.hbm.num_pch, cfg.hbm.pch_capacity, per_master, spacing);
+
+            let mut fast = replay_system(&cfg, &trace, outstanding);
+            let mut slow = replay_system(&cfg, &trace, outstanding);
+
+            let ok_fast = fast.run_until_drained(3_000_000);
+            let ok_slow = naive_drain(&mut slow, 3_000_000);
+
+            prop_assert_eq!(ok_fast, ok_slow);
+            prop_assert!(ok_fast, "replay failed to drain: {:?}", wl);
+            prop_assert_eq!(fingerprint(&fast), fingerprint(&slow));
         }
     }
 }
@@ -183,7 +228,7 @@ mod tracing_equivalence {
             seed in proptest::arbitrary::any::<u64>(),
         ) {
             let cfg = config_for(fabric_sel);
-            let wl = workload_for(fabric_sel, pattern_sel, outstanding, 4, seed);
+            let wl = workload_for(fabric_sel, pattern_sel, 0, outstanding, 4, seed);
 
             let mut on = traced(&cfg, wl, per_master, interval);
             let mut off = HbmSystem::new(&cfg, wl, Some(per_master));
@@ -222,7 +267,7 @@ mod tracing_equivalence {
             seed in proptest::arbitrary::any::<u64>(),
         ) {
             let cfg = config_for(fabric_sel);
-            let wl = workload_for(fabric_sel, pattern_sel, 4, 4, seed);
+            let wl = workload_for(fabric_sel, pattern_sel, 0, 4, 4, seed);
 
             let mut on = traced(&cfg, wl, per_master, interval);
             let mut off = HbmSystem::new(&cfg, wl, Some(per_master));
@@ -233,6 +278,40 @@ mod tracing_equivalence {
                 prop_assert_eq!(fingerprint(&on), fingerprint(&off));
             }
         }
+
+        /// With the tracer and the probe attached to both sides, the
+        /// Chrome export — the snapshot's delivery-ordered records and
+        /// every probe counter track — is byte-identical to that of a
+        /// reference-step drain, whose last partial window `run(0)`
+        /// closes.
+        #[test]
+        fn trace_exports_match_the_reference_step(
+            fabric_sel in 0usize..4,
+            pattern_sel in 0usize..4,
+            rotation in proptest::sample::select(vec![0usize, 4]),
+            per_master in 1u64..5,
+            interval in proptest::sample::select(vec![7u64, 256]),
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let cfg = config_for(fabric_sel);
+            let wl = workload_for(fabric_sel, pattern_sel, rotation, 2, 4, seed);
+
+            let mut fast = traced(&cfg, wl, per_master, interval);
+            let mut slow = traced(&cfg, wl, per_master, interval);
+
+            prop_assert!(fast.run_until_drained(3_000_000), "failed to drain: {:?}", wl);
+            prop_assert!(naive_drain(&mut slow, 3_000_000));
+            slow.run(0);
+
+            prop_assert_eq!(fingerprint(&fast), fingerprint(&slow));
+            prop_assert!(slow.probe().is_some_and(|p| !p.is_empty()));
+            prop_assert_eq!(export(&fast), export(&slow));
+        }
+    }
+
+    fn export(sys: &HbmSystem) -> String {
+        let tracer = sys.tracer().expect("tracing enabled").snapshot();
+        chrome_trace_json(&tracer, sys.probe(), sys.clock())
     }
 }
 
@@ -276,5 +355,37 @@ mod deadline_edge {
         let start = sys.now();
         assert!(!sys.run_until_drained(137), "unbounded workload cannot drain");
         assert_eq!(sys.now(), start + 137, "must stop exactly at the deadline");
+    }
+}
+
+/// The kernel and the reference step may drive one system by turns: the
+/// kernel keeps per-component wakes between its own runs, and must
+/// discard them on entry, because a `step` in between can change any
+/// component's state.
+mod interleaved {
+    use super::*;
+
+    #[test]
+    fn interleaved_run_and_step_match_pure_stepping() {
+        let cases = [
+            Workload { rotation: 4, ..Workload::scs() },
+            Workload { num_ids: 1, ..Workload::ccra() },
+        ];
+        for wl in cases {
+            let mut mixed = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(32));
+            let mut stepped = HbmSystem::new(&SystemConfig::xilinx(), wl, Some(32));
+            let mut windows = 0;
+            while !stepped.drained() {
+                assert!(windows < 10_000, "{wl:?} failed to drain");
+                if windows % 2 == 0 {
+                    mixed.run(7);
+                } else {
+                    naive_run(&mut mixed, 7);
+                }
+                naive_run(&mut stepped, 7);
+                assert_eq!(fingerprint(&mixed), fingerprint(&stepped), "{wl:?}, window {windows}");
+                windows += 1;
+            }
+        }
     }
 }
