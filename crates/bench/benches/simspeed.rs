@@ -1,17 +1,28 @@
 //! Criterion benches of the *simulator itself*: simulated cycles per
 //! wall-clock second for each fabric and pattern. These are the numbers
-//! a user extending the simulator should watch for regressions.
-//!
-//! `repro simspeed` runs the same scenario matrix outside the Criterion
-//! harness and writes `BENCH_simspeed.json` for machine comparison.
+//! a user extending the simulator should watch for regressions. The
+//! cost of the observers (profiler, registry, tracer) is `repro
+//! profile`'s job.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hbm_bench::simspeed::probe_workload;
 use hbm_core::prelude::*;
 use hbm_core::HbmSystem;
 use std::hint::black_box;
 
 const CYCLES: u64 = 2_000;
+
+/// Single-outstanding, single-beat reads: the paper's Table II latency
+/// probe, and the worst case for a naive cycle-by-cycle kernel.
+fn probe_workload() -> Workload {
+    Workload {
+        outstanding: 1,
+        num_ids: 1,
+        burst: BurstLen::of(1),
+        stride: 32,
+        rw: RwRatio::READ_ONLY,
+        ..Workload::scs()
+    }
+}
 
 fn bench_sim_speed(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_cycles_per_sec");

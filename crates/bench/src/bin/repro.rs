@@ -11,8 +11,8 @@
 //! repro xvalidate [--quick] [--json] [--smoke] [--out PATH] [--jobs N]
 //!
 //! EXPERIMENT: fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5
-//!             latency ablations simspeed trace profile xvalidate all
-//!             (default: all)
+//!             latency ablations trace profile xvalidate all
+//!             (default: all; any other name exits 2 with this list)
 //! --quick:    short simulation windows (CI-friendly)
 //! --fidelity TIER: quick | full | analytical — the sweep fidelity.
 //!             `analytical` answers every point from the calibrated
@@ -43,23 +43,25 @@
 //!             for overhead testing.
 //! ```
 //!
-//! `simspeed`, `trace`, `profile`, and `xvalidate` are not part of
-//! `all`: they inspect the *simulator* rather than reproducing the
-//! paper. `xvalidate` fits the analytical tier's calibration against
-//! the cycle simulator on the pinned scenario lattice and reports the
-//! per-family error envelopes; `--out PATH` writes the versioned
-//! artifact (activate it with `HBM_CALIBRATION=PATH`), `--smoke` gates
-//! every family's fitted p95 against the shipped envelope (the CI leg),
-//! and it always writes `BENCH_xvalidate.json`. `simspeed`
-//! writes its rows to `BENCH_simspeed.json` in the current directory (in
-//! addition to the normal stdout report) so runs on the same machine can
-//! be diffed; `trace` writes `TRACE_events.json` (Chrome trace-event
-//! JSON, loadable in Perfetto) and `TRACE_probes.jsonl` (windowed
-//! time-series snapshots) and prints the latency-attribution tables;
-//! `profile` prints the kernel phase-attribution table with observer
-//! and metrics overhead — `--smoke` asserts the
-//! telescoping self-consistency invariant and the <5 % metrics-overhead
-//! budget.
+//! `trace`, `profile`, and `xvalidate` are not part of `all`: they
+//! inspect the *simulator* rather than reproducing the paper.
+//! `xvalidate` fits the analytical tier's calibration against the cycle
+//! simulator on the pinned scenario lattice and reports the per-family
+//! error envelopes, then walls the analytical tier on the pinned
+//! 10 000-point grid against QUICK and FULL cycle runs; `--out PATH`
+//! writes the versioned artifact (activate it with
+//! `HBM_CALIBRATION=PATH`), `--smoke` gates every family's fitted p95
+//! against the shipped envelope, the ≥ 100× speed-up over QUICK and a
+//! real adaptive split (the CI leg), and it always writes
+//! `BENCH_xvalidate.json`. `trace` writes `TRACE_events.json` (Chrome
+//! trace-event JSON, loadable in Perfetto) and `TRACE_probes.jsonl`
+//! (windowed time-series snapshots) and prints the latency-attribution
+//! tables; `profile` prints the kernel phase-attribution table and the
+//! cost of each observer (phase profiler, metric registry, lifecycle
+//! tracer on nine busy scenarios) as the median on/off ratio over
+//! alternating pairs with its interquartile range — `--smoke` asserts
+//! the telescoping self-consistency invariant, that every phase lapped,
+//! and the <5 % metrics-overhead budget.
 //!
 //! `serve` starts the long-running sweep-serving daemon (`hbm-serve`):
 //! it binds `--addr` (default `127.0.0.1:7070`, port 0 for ephemeral),
@@ -76,6 +78,10 @@
 
 use hbm_bench::render;
 use hbm_core::experiment::{self, Fidelity};
+
+/// Every experiment name `repro` accepts besides `serve`.
+const EXPERIMENTS: &str = "fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5 latency \
+                           ablations trace profile xvalidate all";
 
 fn emit_json(name: &str, rows: impl serde::Serialize) {
     println!("{}", serde_json::json!({ "experiment": name, "rows": rows }));
@@ -124,54 +130,29 @@ fn run_json(fid: Fidelity, want: impl Fn(&str) -> bool) {
     }
 }
 
-/// Benchmarks the simulator itself and writes `BENCH_simspeed.json`.
-fn run_simspeed(quick: bool, json: bool) {
-    use hbm_bench::{profilecmd, simspeed};
-    let rows = simspeed::run_matrix(quick);
-    let analytical = simspeed::run_analytical_matrix(quick);
-    let profile = profilecmd::run_profile(quick);
-    let payload = serde_json::json!({
-        "experiment": "simspeed",
-        "rows": rows,
-        "analytical": analytical,
-        "analytical_speedup_vs_quick": analytical.speedup_vs_quick,
-        "adaptive_escalation_fraction": analytical.adaptive_escalation_fraction,
-        "profile": profilecmd::to_json(&profile),
-        "metrics_overhead_pct": profile.metrics.overhead_pct,
-    });
-    std::fs::write("BENCH_simspeed.json", format!("{payload}\n"))
-        .expect("write BENCH_simspeed.json");
-    if json {
-        println!("{payload}");
-    } else {
-        println!("{}", simspeed::render(&rows));
-        println!("{}", simspeed::render_analytical(&analytical));
-        println!("{}", profilecmd::render(&profile));
-        println!("wrote BENCH_simspeed.json");
-    }
-}
-
-/// Profiles the cycle kernel and prints the phase-attribution report.
-/// `--smoke` is the CI gate: it asserts the telescoping self-consistency
-/// invariant (phase sums ≡ measured loop time), that every phase lapped,
-/// and the metrics-registry overhead budget.
+/// Profiles the cycle kernel and times every observer. `--smoke` is the
+/// CI gate: it asserts the telescoping self-consistency invariant (phase
+/// sums ≡ measured loop time), that every phase lapped, and the
+/// metrics-registry overhead budget on the median of the pairs.
 fn run_profile(quick: bool, json: bool, smoke: bool) {
     use hbm_bench::profilecmd;
     // Smoke always runs quick-sized windows — it gates CI, not numbers.
     let out = profilecmd::run_profile(quick || smoke);
     if smoke {
-        assert!(
-            out.scalar.report.consistent(),
-            "phase attribution must telescope to the measured loop time"
-        );
-        assert!(out.scalar.report.laps > 0, "kernel recorded no laps");
+        let report = &out.report;
+        assert!(report.consistent(), "phase attribution must telescope to the measured loop time");
+        assert!(report.laps > 0, "kernel recorded no laps");
         for p in hbm_core::PHASES {
-            assert!(out.scalar.report.ns(p) > 0, "phase {} recorded no time", p.name());
+            assert!(report.ns(p) > 0, "phase {} recorded no time", p.name());
         }
+        let m = &out.metrics;
         assert!(
-            out.metrics.overhead_pct < 5.0,
-            "metrics registry overhead {:.2}% breaches the 5% budget",
-            out.metrics.overhead_pct
+            m.median_pct < 5.0,
+            "metrics registry overhead {:.2}% [{:.2}, {:.2}] over {} pairs breaches the 5% budget",
+            m.median_pct,
+            m.q1_pct,
+            m.q3_pct,
+            m.pairs
         );
     }
     if json {
@@ -304,12 +285,12 @@ fn parse_fidelity_or_die(v: &str) -> Fidelity {
 }
 
 /// Fits and cross-validates the analytical tier (`repro xvalidate`).
-fn run_xvalidate(fid: Fidelity, json: bool, smoke: bool, out_path: Option<&str>) {
+fn run_xvalidate(fid: Fidelity, quick: bool, json: bool, smoke: bool, out_path: Option<&str>) {
     use hbm_bench::xvalidate;
     // The calibration is fitted against cycle windows; an analytical
     // fidelity here would fit the model against itself.
     let fid = if fid.is_analytical() { Fidelity::QUICK } else { fid };
-    let out = xvalidate::run_xvalidate(fid);
+    let out = xvalidate::run_xvalidate(fid, quick);
     let payload = xvalidate::to_json(&out);
     std::fs::write("BENCH_xvalidate.json", format!("{payload}\n"))
         .expect("write BENCH_xvalidate.json");
@@ -328,17 +309,21 @@ fn run_xvalidate(fid: Fidelity, json: bool, smoke: bool, out_path: Option<&str>)
         println!("wrote BENCH_xvalidate.json");
     }
     if smoke {
-        let violations = xvalidate::smoke_violations(&out.calibration);
+        let violations = xvalidate::smoke_violations(&out);
         if !violations.is_empty() {
-            eprintln!("xvalidate smoke: envelope gate FAILED:");
+            eprintln!("xvalidate smoke: gate FAILED:");
             for v in &violations {
                 eprintln!("  {v}");
             }
             std::process::exit(1);
         }
         println!(
-            "xvalidate smoke: OK ({} families within the shipped p95 envelope)",
-            out.calibration.families.len()
+            "xvalidate smoke: OK ({} families within the shipped p95 envelope; \
+             analytical tier {:.0}x faster than QUICK; {:.1}% of the adaptive \
+             sub-sweep escalated)",
+            out.calibration.families.len(),
+            out.floor.speedup_vs_quick,
+            100.0 * out.floor.adaptive_escalation_fraction
         );
     }
 }
@@ -462,20 +447,19 @@ fn main() {
     if wanted.is_empty() {
         wanted.push("all");
     }
+    if let Some(bad) = wanted.iter().find(|w| !EXPERIMENTS.split_whitespace().any(|e| e == **w)) {
+        eprintln!("repro: unknown experiment {bad:?}");
+        eprintln!("usage: repro [EXPERIMENT ...] | repro serve");
+        eprintln!("EXPERIMENT: {EXPERIMENTS}");
+        std::process::exit(2);
+    }
     let all = wanted.contains(&"all");
     let want = |name: &str| all || wanted.contains(&name);
 
-    // Simulator benchmarking, tracing, profiling, and calibration
-    // cross-validation are opt-in only (not part of `all`).
+    // Tracing, profiling, and calibration cross-validation are opt-in
+    // only (not part of `all`).
     if wanted.contains(&"xvalidate") {
-        run_xvalidate(fid, json, smoke, out_path.as_deref());
-        if wanted.len() == 1 {
-            report_cache();
-            return;
-        }
-    }
-    if wanted.contains(&"simspeed") {
-        run_simspeed(quick, json);
+        run_xvalidate(fid, quick, json, smoke, out_path.as_deref());
         if wanted.len() == 1 {
             report_cache();
             return;

@@ -11,7 +11,6 @@ pub mod fig7;
 pub mod paper;
 pub mod profilecmd;
 pub mod render;
-pub mod simspeed;
 pub mod tracecmd;
 pub mod xvalidate;
 

@@ -64,10 +64,10 @@ fn hbm_jobs_env_rejects_zero() {
 
 #[test]
 fn valid_jobs_values_are_accepted() {
-    // An experiment name that matches nothing: the flag machinery runs,
-    // no simulation does, and a valid value sails through.
-    let (code, stderr) = run(&["nothing", "--json", "--jobs", "2"], &[]);
+    // Table III is a static resource table: the flag machinery runs, no
+    // simulation does, and a valid value sails through.
+    let (code, stderr) = run(&["table3", "--jobs", "2"], &[]);
     assert_eq!(code, 0, "valid --jobs must be accepted; stderr: {stderr}");
-    let (code, stderr) = run(&["nothing", "--json"], &[("HBM_JOBS", "2")]);
+    let (code, stderr) = run(&["table3"], &[("HBM_JOBS", "2")]);
     assert_eq!(code, 0, "valid HBM_JOBS must be accepted; stderr: {stderr}");
 }

@@ -33,8 +33,8 @@
 //! pays one `Instant::now()` per component pass: the source pass, the
 //! fabric tick, two per *visited* port (skipped ports lap nothing), the
 //! completion drain, and each horizon fold. That observer
-//! overhead is real (reported as `observer_overhead_pct` by
-//! `repro profile`, budget in DESIGN.md §3.7); attribution *fractions*
+//! overhead is real (timed by `repro profile`, plain against profiled
+//! runs; see DESIGN.md §3.7); attribution *fractions*
 //! remain honest because stamp cost is spread across adjacent phases.
 //! Profiling is observation-only: it cannot feed back into the
 //! simulation, so profiled runs are byte-identical to unprofiled ones
@@ -108,11 +108,10 @@ impl Kernel {
 // ----------------------------------------------------------- thread state
 
 struct ProfState {
-    kernel: Kernel,
     t0: Instant,
     last: Instant,
-    phase_ns: [u64; NUM_PHASES],
-    laps: u64,
+    /// The attribution so far (`total_ns` and `laps` are set by [`end`]).
+    report: PhaseReport,
 }
 
 thread_local! {
@@ -135,9 +134,9 @@ pub fn lap(phase: Phase) {
     STATE.with(|s| {
         if let Some(st) = s.borrow_mut().as_mut() {
             let now = Instant::now();
-            st.phase_ns[phase as usize] += (now - st.last).as_nanos() as u64;
+            st.report.phase_ns[phase as usize] += (now - st.last).as_nanos() as u64;
+            st.report.phase_laps[phase as usize] += 1;
             st.last = now;
-            st.laps += 1;
         }
     });
 }
@@ -146,10 +145,8 @@ pub fn lap(phase: Phase) {
 /// unfinished window is discarded.
 pub fn begin(kernel: Kernel) {
     let now = Instant::now();
-    STATE.with(|s| {
-        *s.borrow_mut() =
-            Some(ProfState { kernel, t0: now, last: now, phase_ns: [0; NUM_PHASES], laps: 0 });
-    });
+    let report = PhaseReport::empty(kernel);
+    STATE.with(|s| *s.borrow_mut() = Some(ProfState { t0: now, last: now, report }));
     ACTIVE.with(|a| a.set(true));
 }
 
@@ -161,13 +158,13 @@ pub fn begin(kernel: Kernel) {
 pub fn end() -> PhaseReport {
     ACTIVE.with(|a| a.set(false));
     let st = STATE.with(|s| s.borrow_mut().take());
-    let Some(mut st) = st else {
+    let Some(ProfState { t0, last, mut report }) = st else {
         return PhaseReport::empty(Kernel::Scalar);
     };
     let now = Instant::now();
-    st.phase_ns[Phase::HorizonCompute as usize] += (now - st.last).as_nanos() as u64;
-    let total_ns = (now - st.t0).as_nanos() as u64;
-    let report = PhaseReport { kernel: st.kernel, phase_ns: st.phase_ns, total_ns, laps: st.laps };
+    report.phase_ns[Phase::HorizonCompute as usize] += (now - last).as_nanos() as u64;
+    report.total_ns = (now - t0).as_nanos() as u64;
+    report.laps = report.phase_laps.iter().sum();
     report.publish();
     report
 }
@@ -182,20 +179,40 @@ pub struct PhaseReport {
     /// Nanoseconds attributed to each phase, indexed by [`Phase`] in
     /// [`PHASES`] order.
     pub phase_ns: [u64; NUM_PHASES],
+    /// Laps per phase, in the same order. They depend only on the
+    /// simulation, so they repeat exactly (`mc_tick`: visited ports).
+    pub phase_laps: [u64; NUM_PHASES],
     /// `t_end − t₀` of the window, measured independently of the laps.
     pub total_ns: u64,
-    /// Stamp count (a sanity gauge on observer overhead).
+    /// Stamp count, the sum of `phase_laps`.
     pub laps: u64,
 }
 
 impl PhaseReport {
     fn empty(kernel: Kernel) -> PhaseReport {
-        PhaseReport { kernel, phase_ns: [0; NUM_PHASES], total_ns: 0, laps: 0 }
+        let zero = [0; NUM_PHASES];
+        PhaseReport { kernel, phase_ns: zero, phase_laps: zero, total_ns: 0, laps: 0 }
     }
 
     /// Nanoseconds attributed to `phase`.
     pub fn ns(&self, phase: Phase) -> u64 {
         self.phase_ns[phase as usize]
+    }
+
+    /// Laps taken for `phase`.
+    pub fn phase_laps(&self, phase: Phase) -> u64 {
+        self.phase_laps[phase as usize]
+    }
+
+    /// Adds another window into this one. Each window telescopes, so
+    /// the sum does too.
+    pub fn merge(&mut self, other: &PhaseReport) {
+        for p in PHASES {
+            self.phase_ns[p as usize] += other.ns(p);
+            self.phase_laps[p as usize] += other.phase_laps(p);
+        }
+        self.total_ns += other.total_ns;
+        self.laps += other.laps;
     }
 
     /// Sum of all phase attributions.
@@ -219,18 +236,20 @@ impl PhaseReport {
         }
     }
 
-    /// JSON value with named phases (for `repro profile --json` and the
-    /// `BENCH_simspeed.json` fold-in).
+    /// JSON value with named phases (for `repro profile --json`).
     pub fn to_json(&self) -> serde_json::Value {
-        let phases = serde_json::Value::Map(
-            PHASES
-                .iter()
-                .map(|&p| (p.name().to_string(), serde::value::to_value(&self.ns(p))))
-                .collect(),
-        );
+        let by_phase = |f: fn(&PhaseReport, Phase) -> u64| {
+            serde_json::Value::Map(
+                PHASES
+                    .iter()
+                    .map(|&p| (p.name().to_string(), serde::value::to_value(&f(self, p))))
+                    .collect(),
+            )
+        };
         serde_json::json!({
             "kernel": self.kernel.name(),
-            "phase_ns": phases,
+            "phase_ns": by_phase(PhaseReport::ns),
+            "phase_laps": by_phase(PhaseReport::phase_laps),
             "total_ns": self.total_ns,
             "laps": self.laps,
             "consistent": self.consistent(),
@@ -308,6 +327,7 @@ mod tests {
         assert!(r.consistent(), "sum {} != total {}", r.attributed_ns(), r.total_ns);
         assert!(r.ns(Phase::FabricTick) >= 2_000_000);
         assert_eq!(r.laps, 3);
+        assert_eq!(r.phase_laps, [1, 1, 0, 0, 1]);
         assert!(!active());
     }
 
@@ -344,5 +364,7 @@ mod tests {
         assert!(matches!(v.get("consistent"), Some(serde_json::Value::Bool(true))));
         let phases = v.get("phase_ns").expect("phase_ns present");
         assert!(matches!(phases.get("gens_tick"), Some(serde_json::Value::U64(_))));
+        let laps = v.get("phase_laps").expect("phase_laps present");
+        assert!(matches!(laps.get("gens_tick"), Some(serde_json::Value::U64(1))));
     }
 }

@@ -11,25 +11,26 @@
 //! depth is the "number of consecutive AXI transactions that can be
 //! reordered" swept in Fig. 6 of the paper.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hbm_axi::{Completion, Dir};
 
-fn dir_key(d: Dir) -> u8 {
-    match d {
-        Dir::Read => 0,
-        Dir::Write => 1,
-    }
+/// The (direction, ID) stream of a transaction: AXI orders completions
+/// within a stream only.
+fn stream(dir: Dir, id: u8) -> u16 {
+    u16::from(id) << 1 | u16::from(dir == Dir::Write)
 }
 
-/// A per-master reorder buffer.
+/// A per-master reorder buffer. Its lists are sized to the buffer's
+/// depth when it is built, so it never allocates afterwards.
 #[derive(Debug, Default)]
 pub struct ReorderBuffer {
     capacity: usize,
-    /// Per (dir, id): sequence numbers in issue order, awaiting delivery.
-    expected: HashMap<(u8, u8), VecDeque<u64>>,
-    /// Early completions parked by sequence number.
-    parked: HashMap<u64, Completion>,
+    /// Reservations not yet re-sequenced, in issue order, as (stream,
+    /// seq): the first entry of a stream is the completion it waits for.
+    pending: VecDeque<(u16, u64)>,
+    /// Early completions, waiting for their older same-stream peers.
+    parked: Vec<Completion>,
     /// Completions in delivery order.
     ready: VecDeque<Completion>,
     /// Reserved slots: issued and not yet delivered to the master.
@@ -40,7 +41,13 @@ impl ReorderBuffer {
     /// A buffer with `capacity` slots (max outstanding per master).
     pub fn new(capacity: usize) -> ReorderBuffer {
         assert!(capacity >= 1, "reorder buffer needs at least one slot");
-        ReorderBuffer { capacity, ..Default::default() }
+        ReorderBuffer {
+            capacity,
+            pending: VecDeque::with_capacity(capacity),
+            parked: Vec::with_capacity(capacity),
+            ready: VecDeque::with_capacity(capacity),
+            in_flight: 0,
+        }
     }
 
     /// `true` if a new transaction can reserve a slot.
@@ -60,38 +67,35 @@ impl ReorderBuffer {
     pub fn reserve(&mut self, dir: Dir, id: u8, seq: u64) {
         assert!(self.can_reserve(), "reorder buffer overflow");
         self.in_flight += 1;
-        self.expected.entry((dir_key(dir), id)).or_default().push_back(seq);
+        self.pending.push_back((stream(dir, id), seq));
     }
 
     /// Accepts a completion from the fabric, in any order. It becomes
     /// deliverable once every older same-(dir, id) completion has been
     /// delivered or is already buffered ahead of it.
     pub fn arrive(&mut self, c: Completion) {
-        let key = (dir_key(c.txn.dir), c.txn.id.0);
-        let q = self.expected.get_mut(&key).expect("completion without reservation");
-        if q.front() == Some(&c.txn.seq) {
-            q.pop_front();
-            self.ready.push_back(c);
-            // Cascade: earlier-arrived later completions may now be ready.
-            while let Some(&next) = q.front() {
-                match self.parked.remove(&next) {
-                    Some(pc) => {
-                        q.pop_front();
-                        self.ready.push_back(pc);
-                    }
-                    None => break,
-                }
-            }
-            if q.is_empty() {
-                self.expected.remove(&key);
-            }
-        } else {
+        let s = stream(c.txn.dir, c.txn.id.0);
+        let first = self.pending.iter().position(|&(p, _)| p == s);
+        let mut i = first.expect("completion without reservation");
+        if self.pending[i].1 != c.txn.seq {
             debug_assert!(
-                q.contains(&c.txn.seq),
+                self.pending.contains(&(s, c.txn.seq)),
                 "completion {} was never reserved on this (dir, id)",
                 c.txn.seq
             );
-            self.parked.insert(c.txn.seq, c);
+            self.parked.push(c);
+            return;
+        }
+        self.pending.remove(i);
+        self.ready.push_back(c);
+        // Cascade: earlier-arrived later completions may now be ready.
+        // The stream's next entry lies at or after `i`.
+        while let Some(j) = self.pending.range(i..).position(|&(p, _)| p == s) {
+            i += j;
+            let next = self.pending[i].1;
+            let Some(k) = self.parked.iter().position(|p| p.txn.seq == next) else { break };
+            self.pending.remove(i);
+            self.ready.push_back(self.parked.swap_remove(k));
         }
     }
 
@@ -189,6 +193,16 @@ mod tests {
         assert!(!r.can_reserve());
         r.pop_ready().unwrap();
         assert!(r.can_reserve());
+    }
+
+    #[test]
+    #[should_panic(expected = "completion without reservation")]
+    fn completion_on_a_drained_queue_panics() {
+        let mut r = ReorderBuffer::new(2);
+        r.reserve(Dir::Read, 0, 0);
+        r.arrive(comp(0, 0, Dir::Read));
+        r.pop_ready().unwrap();
+        r.arrive(comp(0, 1, Dir::Read));
     }
 
     #[test]

@@ -178,3 +178,17 @@ fn phase_sums_equal_measured_loop_time() {
         ["gens_tick", "fabric_tick", "mc_tick", "horizon_compute", "queue_ops"]
     );
 }
+
+/// The MC-tick gate as a count (DESIGN.md §3.10): ports visited per
+/// domain step, 1.19 here; 2.39 without the controller's no-candidate
+/// sleep hint, and 4 visiting every port on every step.
+#[test]
+fn port_visits_per_domain_step_stay_bounded() {
+    let rotated = Workload { rotation: 4, ..Workload::scs() };
+    profile::begin(Kernel::Scalar);
+    let _ = measure::measure(&SystemConfig::xilinx(), rotated, 500, 2_000);
+    let report = profile::end();
+    let (visits, steps) = (report.phase_laps(Phase::McTick), report.phase_laps(Phase::GensTick));
+    let per_step = visits as f64 / steps.max(1) as f64;
+    assert!(per_step < 1.6, "{visits} port visits over {steps} domain steps ({per_step:.2})");
+}
