@@ -67,7 +67,7 @@ pub fn run_engines(
         return None;
     }
     let cycles = sys.now();
-    let bytes: u64 = sys.gen_stats().iter().map(|g| g.total_bytes()).sum();
+    let bytes = sys.gen_stats_total().total_bytes();
     let ns = cfg.clock.cycles_to_ns(cycles);
     Some(AccelReport {
         cycles,

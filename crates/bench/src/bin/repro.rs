@@ -6,13 +6,16 @@
 //! repro [EXPERIMENT ...] [--quick] [--fidelity TIER] [--adaptive]
 //!       [--json] [--smoke] [--jobs N] [--cache-dir DIR] [--no-cache]
 //!       [--metrics]
-//! repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--no-cache]
-//!             [--metrics-addr HOST:PORT] [--span-log FILE]
+//! repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--cache-dir DIR]
+//!             [--no-cache] [--metrics] [--metrics-addr HOST:PORT]
+//!             [--span-log FILE]
 //! repro xvalidate [--quick] [--json] [--smoke] [--out PATH] [--jobs N]
 //!
 //! EXPERIMENT: fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5
 //!             latency ablations trace profile xvalidate all
 //!             (default: all; any other name exits 2 with this list)
+//! Any flag the chosen command does not take (a typo such as `--quik`,
+//! or an experiment flag given to `serve`) exits 2 with the usage.
 //! --quick:    short simulation windows (CI-friendly)
 //! --fidelity TIER: quick | full | analytical — the sweep fidelity.
 //!             `analytical` answers every point from the calibrated
@@ -77,56 +80,106 @@
 //! `examples/serve_client.rs` for a full client.
 
 use hbm_bench::render;
-use hbm_core::experiment::{self, Fidelity};
+use hbm_core::experiment::Fidelity;
 
 /// Every experiment name `repro` accepts besides `serve`.
 const EXPERIMENTS: &str = "fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5 latency \
                            ablations trace profile xvalidate all";
 
-fn emit_json(name: &str, rows: impl serde::Serialize) {
-    println!("{}", serde_json::json!({ "experiment": name, "rows": rows }));
+const USAGE: &str = "\
+usage: repro [EXPERIMENT ...] [--quick] [--fidelity quick|full|analytical] [--adaptive]
+             [--json] [--smoke] [--jobs N] [--cache-dir DIR] [--no-cache] [--metrics]
+             [--out PATH]
+       repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--cache-dir DIR]
+             [--no-cache] [--metrics] [--metrics-addr HOST:PORT] [--span-log FILE]";
+
+/// The flags the experiments take. A trailing `=` marks a flag that
+/// takes a value, given as the next argument or after `=`.
+const EXPERIMENT_FLAGS: [&str; 10] = [
+    "--quick",
+    "--json",
+    "--smoke",
+    "--adaptive",
+    "--no-cache",
+    "--metrics",
+    "--fidelity=",
+    "--jobs=",
+    "--cache-dir=",
+    "--out=",
+];
+
+/// The flags `serve` takes, marked as in [`EXPERIMENT_FLAGS`].
+const SERVE_FLAGS: [&str; 8] = [
+    "--no-cache",
+    "--metrics",
+    "--jobs=",
+    "--cache-dir=",
+    "--addr=",
+    "--queue=",
+    "--metrics-addr=",
+    "--span-log=",
+];
+
+/// Prints `why`, the usage and the experiment names to stderr and exits 2.
+fn usage_exit(why: &str) -> ! {
+    eprintln!("repro: {why}");
+    eprintln!("{USAGE}");
+    eprintln!("EXPERIMENT: {EXPERIMENTS}");
+    std::process::exit(2);
 }
 
-fn run_json(fid: Fidelity, want: impl Fn(&str) -> bool) {
-    if want("fig2") {
-        emit_json("fig2", experiment::fig2_rw_ratio(fid));
+/// The command line split into positional arguments and flags. Each
+/// flag is its [`EXPERIMENT_FLAGS`]/[`SERVE_FLAGS`] entry plus its value;
+/// a flag given twice keeps its last value.
+struct Cli<'a> {
+    positional: Vec<&'a str>,
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Cli<'a> {
+    /// Splits `args`, exiting 2 with the usage on a flag no command
+    /// takes, a value flag without its value, or a value on a switch.
+    /// The caller checks the flags against the chosen command.
+    fn parse(args: &'a [String]) -> Cli<'a> {
+        let mut cli = Cli { positional: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                cli.positional.push(a);
+                continue;
+            }
+            let (name, inline) = match a.split_once('=') {
+                Some((name, v)) => (name, Some(v)),
+                None => (a.as_str(), None),
+            };
+            let Some(&spec) = EXPERIMENT_FLAGS
+                .iter()
+                .chain(&SERVE_FLAGS)
+                .find(|f| f.trim_end_matches('=') == name)
+            else {
+                usage_exit(&format!("unknown flag {a:?}"));
+            };
+            let value = match (spec.ends_with('='), inline) {
+                (true, Some(v)) => Some(v),
+                (true, None) => match it.next() {
+                    Some(v) => Some(v.as_str()),
+                    None => usage_exit(&format!("{name} requires a value")),
+                },
+                (false, Some(_)) => usage_exit(&format!("{name} takes no value")),
+                (false, None) => None,
+            };
+            cli.flags.push((spec, value));
+        }
+        cli
     }
-    if want("fig3") {
-        emit_json("fig3", experiment::fig3_burst_length(fid));
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.trim_end_matches('=') == name)
     }
-    if want("fig4") {
-        emit_json("fig4", experiment::fig4_rotation(fid));
-    }
-    if want("table2") {
-        emit_json("table2", experiment::table2_latency(fid));
-    }
-    if want("table4") {
-        emit_json("table4", experiment::table4_throughput(fid));
-    }
-    if want("fig5") {
-        emit_json("fig5", experiment::fig5_stride(fid));
-    }
-    if want("fig6") {
-        emit_json("fig6", experiment::fig6_reorder(fid));
-    }
-    if want("fig7") || want("table5") {
-        emit_json("fig7", hbm_bench::fig7::fig7_report(fid));
-    }
-    if want("latency") {
-        emit_json("latency", experiment::latency_probe());
-    }
-    if want("ablations") {
-        emit_json("ablate_interleave", experiment::ablate_interleave(fid));
-        emit_json("ablate_interleave_scheme", experiment::ablate_interleave_scheme(fid));
-        emit_json("ablate_stages", experiment::ablate_stages(fid));
-        emit_json("ablate_mc_window", experiment::ablate_mc_window(fid));
-        emit_json("ablate_page_policy", experiment::ablate_page_policy(fid));
-        emit_json("ablate_mao_features", experiment::ablate_mao_features(fid));
-        emit_json("ablate_axi4", experiment::ablate_axi4(fid));
-        emit_json("ablate_stacks", experiment::ablate_stacks(fid));
-        emit_json("ablate_addr_map", experiment::ablate_addr_map(fid));
-        emit_json("ablate_lateral", experiment::ablate_lateral(fid));
-        emit_json("mixed_interference", experiment::mixed_interference(fid));
+
+    /// The last value given for the value flag `name`.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().rev().find(|(f, _)| f.trim_end_matches('=') == name).and_then(|(_, v)| *v)
     }
 }
 
@@ -169,56 +222,28 @@ fn run_profile(quick: bool, json: bool, smoke: bool) {
 }
 
 /// Runs the sweep-serving daemon until a client sends `shutdown`.
-fn run_serve(args: &[String]) {
+fn run_serve(cli: &Cli) {
     use hbm_serve::{MetricsExposer, ServeConfig, Server, WireServer};
 
-    let mut addr = String::from("127.0.0.1:7070");
-    let mut queue_capacity = 4_096usize;
-    let mut metrics_addr: Option<String> = None;
-    let mut span_log: Option<std::path::PathBuf> = None;
-    let mut skip_next = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        let flag_value = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("{name} requires a value");
-                    std::process::exit(2);
-                }))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
-        if let Some(v) = flag_value("--addr") {
-            skip_next = a == "--addr";
-            addr = v;
-        } else if let Some(v) = flag_value("--queue") {
-            skip_next = a == "--queue";
-            queue_capacity = v.parse().unwrap_or_else(|_| {
-                eprintln!("--queue: invalid point count {v:?}");
-                std::process::exit(2);
-            });
-        } else if let Some(v) = flag_value("--metrics-addr") {
-            skip_next = a == "--metrics-addr";
-            metrics_addr = Some(v);
-        } else if let Some(v) = flag_value("--span-log") {
-            skip_next = a == "--span-log";
-            span_log = Some(std::path::PathBuf::from(v));
-        }
-    }
+    let addr = cli.value("--addr").unwrap_or("127.0.0.1:7070");
+    let queue_capacity = cli.value("--queue").map_or(4_096, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--queue: invalid point count {v:?}");
+            std::process::exit(2);
+        })
+    });
+    let metrics_addr = cli.value("--metrics-addr");
+    let span_log = cli.value("--span-log").map(std::path::PathBuf::from);
 
     let workers = hbm_core::batch::sweep_jobs();
     let server =
         Server::spawn(ServeConfig { workers, queue_capacity, span_log, ..ServeConfig::default() });
-    let wire = WireServer::bind(&addr, server.handle()).unwrap_or_else(|e| {
+    let wire = WireServer::bind(addr, server.handle()).unwrap_or_else(|e| {
         eprintln!("serve: cannot bind {addr}: {e}");
         std::process::exit(1);
     });
     let exposer = metrics_addr.map(|a| {
-        MetricsExposer::bind(&a).unwrap_or_else(|e| {
+        MetricsExposer::bind(a).unwrap_or_else(|e| {
             eprintln!("serve: cannot bind metrics listener {a}: {e}");
             std::process::exit(1);
         })
@@ -355,70 +380,31 @@ fn report_cache() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    if args.iter().any(|a| a == "--metrics") {
+    let cli = Cli::parse(&args);
+    let serve = cli.positional.first() == Some(&"serve");
+    let (command, takes) = if serve {
+        ("serve", &SERVE_FLAGS[..])
+    } else {
+        ("the experiments", &EXPERIMENT_FLAGS[..])
+    };
+    if let Some((flag, _)) = cli.flags.iter().find(|(f, _)| !takes.contains(f)) {
+        usage_exit(&format!("{} is not a flag of {command}", flag.trim_end_matches('=')));
+    }
+    let quick = cli.has("--quick");
+    let json = cli.has("--json");
+    let smoke = cli.has("--smoke");
+    let no_cache = cli.has("--no-cache");
+    if cli.has("--metrics") {
         hbm_core::metrics::set_enabled(true);
     }
-    let mut jobs_value: Option<usize> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut fidelity_value: Option<Fidelity> = None;
-    let mut out_path: Option<String> = None;
-    let mut skip_next = false;
-    let mut positional: Vec<&str> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--fidelity" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--fidelity requires a tier");
-                eprintln!("usage: --fidelity quick|full|analytical");
-                std::process::exit(2);
-            });
-            fidelity_value = Some(parse_fidelity_or_die(v));
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--fidelity=") {
-            fidelity_value = Some(parse_fidelity_or_die(v));
-        } else if a == "--out" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--out requires a path");
-                std::process::exit(2);
-            });
-            out_path = Some(v.clone());
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out_path = Some(v.to_string());
-        } else if a == "--jobs" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--jobs requires a thread count");
-                eprintln!("usage: --jobs N (N a positive integer)");
-                std::process::exit(2);
-            });
-            jobs_value = Some(parse_jobs_or_die(v));
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs_value = Some(parse_jobs_or_die(v));
-        } else if a == "--cache-dir" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("--cache-dir requires a directory");
-                std::process::exit(2);
-            });
-            cache_dir = Some(v.clone());
-            skip_next = true;
-        } else if let Some(v) = a.strip_prefix("--cache-dir=") {
-            cache_dir = Some(v.to_string());
-        } else if !a.starts_with("--") {
-            positional.push(a.as_str());
-        }
-    }
+    let jobs_value = cli.value("--jobs").map(parse_jobs_or_die);
+    let fidelity_value = cli.value("--fidelity").map(parse_fidelity_or_die);
+    let cache_dir = cli.value("--cache-dir");
+    let out_path = cli.value("--out");
     // --fidelity wins over --quick; --adaptive turns every run_all grid
     // into an analytical-first multi-fidelity sweep.
     let fid = fidelity_value.unwrap_or(if quick { Fidelity::QUICK } else { Fidelity::FULL });
-    if args.iter().any(|a| a == "--adaptive") {
+    if cli.has("--adaptive") {
         hbm_core::experiment::set_adaptive(true);
     }
     if let Some(jobs) = jobs_value {
@@ -434,24 +420,24 @@ fn main() {
         cache.set_dir(dir);
         cache.enable();
     }
-    if positional.first() == Some(&"serve") {
+    if serve {
+        if let Some(extra) = cli.positional.get(1) {
+            usage_exit(&format!("serve takes no experiment, got {extra:?}"));
+        }
         // The daemon defaults the memory-tier cache on: repeated or
         // overlapping client grids are exactly what it exists to absorb.
         if !no_cache {
             cache.enable();
         }
-        run_serve(&args);
+        run_serve(&cli);
         return;
     }
-    let mut wanted: Vec<&str> = positional;
+    let mut wanted = cli.positional;
     if wanted.is_empty() {
         wanted.push("all");
     }
     if let Some(bad) = wanted.iter().find(|w| !EXPERIMENTS.split_whitespace().any(|e| e == **w)) {
-        eprintln!("repro: unknown experiment {bad:?}");
-        eprintln!("usage: repro [EXPERIMENT ...] | repro serve");
-        eprintln!("EXPERIMENT: {EXPERIMENTS}");
-        std::process::exit(2);
+        usage_exit(&format!("unknown experiment {bad:?}"));
     }
     let all = wanted.contains(&"all");
     let want = |name: &str| all || wanted.contains(&name);
@@ -459,7 +445,7 @@ fn main() {
     // Tracing, profiling, and calibration cross-validation are opt-in
     // only (not part of `all`).
     if wanted.contains(&"xvalidate") {
-        run_xvalidate(fid, quick, json, smoke, out_path.as_deref());
+        run_xvalidate(fid, quick, json, smoke, out_path);
         if wanted.len() == 1 {
             report_cache();
             return;
@@ -481,7 +467,7 @@ fn main() {
     }
 
     if json {
-        run_json(fid, want);
+        hbm_bench::json::run_json(fid, want, &mut std::io::stdout()).expect("write to stdout");
         report_cache();
         return;
     }

@@ -8,6 +8,7 @@
 //! written from this output.
 
 pub mod fig7;
+pub mod json;
 pub mod paper;
 pub mod profilecmd;
 pub mod render;

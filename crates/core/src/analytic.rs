@@ -581,34 +581,32 @@ pub fn predict(cfg: &SystemConfig, wl: &Workload, fid: Fidelity, cal: &Calibrati
     let n = cfg.hbm.num_pch.max(1);
 
     // Whole transactions per master, floored — the synthetic row's
-    // counters stay mutually consistent (gen = Σ per_master; bytes are
-    // txn multiples) and deterministic.
+    // counters stay mutually consistent (gen = n identical masters;
+    // bytes are txn multiples) and deterministic.
     let total_bytes = total_gbps * window_ns;
     let rd_txns_pm = (total_bytes * read_frac / txn_bytes as f64 / n as f64).floor() as u64;
     let wr_txns_pm = (total_bytes * (1.0 - read_frac) / txn_bytes as f64 / n as f64).floor() as u64;
 
-    let mut per_master = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut g = GenStats {
-            issued: rd_txns_pm + wr_txns_pm,
-            completed: rd_txns_pm + wr_txns_pm,
-            bytes_read: rd_txns_pm * txn_bytes,
-            bytes_written: wr_txns_pm * txn_bytes,
-            ..GenStats::default()
-        };
-        // One sample per direction at the model's mean: `mean()` is
-        // exact, and the row costs microseconds regardless of volume.
-        if rd_txns_pm > 0 {
-            g.read_lat.record(read_lat);
-        }
-        if wr_txns_pm > 0 {
-            g.write_lat.record(write_lat);
-        }
-        per_master.push(g);
+    let mut master = GenStats {
+        issued: rd_txns_pm + wr_txns_pm,
+        completed: rd_txns_pm + wr_txns_pm,
+        bytes_read: rd_txns_pm * txn_bytes,
+        bytes_written: wr_txns_pm * txn_bytes,
+        ..GenStats::default()
+    };
+    // One sample per direction at the model's mean: `mean()` is exact,
+    // and the row costs microseconds regardless of volume.
+    if rd_txns_pm > 0 {
+        master.read_lat.record(read_lat);
     }
+    if wr_txns_pm > 0 {
+        master.write_lat.record(write_lat);
+    }
+    // Folded one master at a time, as a simulated row's aggregate is,
+    // so every `f64` sum rounds the same way.
     let mut gen = GenStats::default();
-    for g in &per_master {
-        gen.merge(g);
+    for _ in 0..n {
+        gen.merge(&master);
     }
 
     // DRAM counters from the model's pattern terms.
@@ -658,15 +656,7 @@ pub fn predict(cfg: &SystemConfig, wl: &Workload, fid: Fidelity, cal: &Calibrati
         }
     }
 
-    Measurement {
-        cycles,
-        clock,
-        gen,
-        per_master,
-        mem,
-        fabric,
-        device_gbps: cfg.hbm.theoretical_bw_gbps(),
-    }
+    Measurement { cycles, clock, gen, mem, fabric, device_gbps: cfg.hbm.theoretical_bw_gbps() }
 }
 
 // ------------------------------------------------------------ escalation
@@ -992,9 +982,10 @@ mod tests {
         let cfg = SystemConfig::xilinx();
         let wl = Workload::scs();
         let m = predict(&cfg, &wl, Fidelity::ANALYTICAL, &Calibration::builtin());
-        // Aggregate equals the per-master sum.
-        let sum: u64 = m.per_master.iter().map(|g| g.total_bytes()).sum();
-        assert_eq!(m.gen.total_bytes(), sum);
+        // The aggregate is n identical masters of whole transactions.
+        let n = cfg.hbm.num_pch as u64;
+        assert_eq!(m.gen.completed % n, 0);
+        assert_eq!(m.gen.total_bytes() % (n * wl.burst.bytes()), 0);
         // The throughput accessor reproduces the model's prediction.
         assert!(m.total_gbps() > 100.0, "{}", m.total_gbps());
         assert!(m.total_gbps() <= m.device_gbps + 1e-9);

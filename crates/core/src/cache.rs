@@ -53,7 +53,9 @@ use crate::system::SystemConfig;
 /// Version of the simulator semantics a cached measurement was produced
 /// under. Bump this whenever *any* change can alter a measurement —
 /// kernel scheduling, fabric timing, statistics accounting — and every
-/// previously cached entry silently stops matching.
+/// previously cached entry silently stops matching. Removing a field no
+/// reader uses moves no counter and needs no bump: deserialisation
+/// ignores the extra key in older entries (DESIGN.md §3.5).
 pub const SIM_KERNEL_VERSION: u32 = 2;
 
 /// Memory-tier shard count (fingerprints spread by their high bits).

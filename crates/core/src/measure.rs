@@ -18,10 +18,11 @@ pub struct Measurement {
     pub cycles: Cycle,
     /// Accelerator clock.
     pub clock: ClockDomain,
-    /// Aggregate generator statistics over all masters.
+    /// Aggregate generator statistics over all masters. A row carries
+    /// no per-master copy: callers that need each master's own
+    /// statistics read [`HbmSystem::gen_stats`] on a system they run,
+    /// e.g. from [`measured_system`].
     pub gen: GenStats,
-    /// Per-master generator statistics.
-    pub per_master: Vec<GenStats>,
     /// Aggregate DRAM statistics.
     pub mem: MemStats,
     /// Interconnect statistics.
@@ -233,29 +234,37 @@ pub fn measure(
     warmup: Cycle,
     cycles: Cycle,
 ) -> Measurement {
-    let mut sys = HbmSystem::new(cfg, workload, None);
-    sys.run(warmup);
-    sys.reset_stats();
-    sys.run(cycles);
+    let sys = measured_system(cfg, workload, warmup, cycles);
     let m = snapshot(&sys, cycles);
     record_run_metrics(&m, cfg.hbm.num_pch);
     record_queue_hwms(&sys);
     m
 }
 
+/// The system [`measure`] measures: `warmup` cycles, statistics
+/// cleared, then `cycles` measured cycles. [`snapshot`] of it is the
+/// row `measure` returns; the system itself also answers what a row
+/// does not carry, such as each master's [`HbmSystem::gen_stats`].
+pub fn measured_system(
+    cfg: &SystemConfig,
+    workload: Workload,
+    warmup: Cycle,
+    cycles: Cycle,
+) -> HbmSystem {
+    let mut sys = HbmSystem::new(cfg, workload, None);
+    sys.run(warmup);
+    sys.reset_stats();
+    sys.run(cycles);
+    sys
+}
+
 /// Extracts a [`Measurement`] from a system after `cycles` measured
 /// cycles.
 pub fn snapshot(sys: &HbmSystem, cycles: Cycle) -> Measurement {
-    let per_master = sys.gen_stats();
-    let mut gen = GenStats::default();
-    for g in &per_master {
-        gen.merge(g);
-    }
     Measurement {
         cycles,
         clock: sys.clock(),
-        gen,
-        per_master,
+        gen: sys.gen_stats_total(),
         mem: sys.mem_stats(),
         fabric: sys.fabric_stats(),
         device_gbps: sys.config().hbm.theoretical_bw_gbps(),

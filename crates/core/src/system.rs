@@ -731,6 +731,16 @@ impl HbmSystem {
         self.gens.iter().map(|g| *g.stats()).collect()
     }
 
+    /// Aggregate generator statistics over all masters, merged in
+    /// master order.
+    pub fn gen_stats_total(&self) -> GenStats {
+        let mut total = GenStats::default();
+        for g in &self.gens {
+            total.merge(g.stats());
+        }
+        total
+    }
+
     /// Aggregate memory statistics over all pseudo-channels.
     pub fn mem_stats(&self) -> MemStats {
         let mut total = MemStats::default();

@@ -128,7 +128,8 @@ struct JobEntry {
     /// cancellation must not emit a second row for it.
     prefilled: Option<Vec<bool>>,
     /// Completed rows in completion order, with their completion
-    /// instant, kept for late-subscriber replay.
+    /// instant, kept for late-subscriber replay until the job's span
+    /// leaves the span ring (see `State::record_span`).
     log: Vec<(RowResult, Instant)>,
     subscribers: Vec<Sender<Event>>,
     submitted_at: Instant,
@@ -215,7 +216,7 @@ struct State {
     shutdown: bool,
     stats: ServeStats,
     /// Finished-job lifecycle spans, oldest first, capped at
-    /// [`SPAN_LOG_CAP`].
+    /// [`SPAN_LOG_CAP`]; a job leaves `jobs` when its span leaves here.
     spans: VecDeque<JobSpan>,
     /// Optional JSONL sink receiving every span (unbounded, durable).
     span_sink: Option<Arc<Mutex<std::fs::File>>>,
@@ -368,7 +369,12 @@ impl State {
 
     /// Captures `id`'s lifecycle span into the bounded ring (and the
     /// JSONL sink, when configured). Called exactly once per job, at its
-    /// terminal transition (`finished_at` just set).
+    /// terminal transition (`finished_at` just set), so the ring holds
+    /// the newest [`SPAN_LOG_CAP`] finished jobs: the job whose span
+    /// leaves it leaves `jobs` too, replay log included, and its id
+    /// becomes unknown to `status`, `subscribe` and `cancel`, like one
+    /// never issued. A long-running daemon thus keeps its open jobs and
+    /// the newest finished ones, not every row it ever streamed.
     fn record_span(&mut self, id: u64) {
         let started = self.stats.started();
         let entry = self.jobs.get(&id).expect("span of a known job");
@@ -400,7 +406,9 @@ impl State {
             }
         }
         if self.spans.len() == SPAN_LOG_CAP {
-            self.spans.pop_front();
+            if let Some(oldest) = self.spans.pop_front() {
+                self.jobs.remove(&oldest.job);
+            }
         }
         self.spans.push_back(span);
     }
@@ -1321,6 +1329,45 @@ mod tests {
                 serde_json::to_string(&want).unwrap()
             );
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn only_the_newest_finished_jobs_are_kept() {
+        const EXTRA: usize = 3;
+        let server = Server::spawn(ServeConfig {
+            workers: 1,
+            cache: Some(ResultCache::disabled()),
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        let point = tiny_points(1);
+        let streamed: Vec<(JobId, String)> = (0..SPAN_LOG_CAP + EXTRA)
+            .map(|i| {
+                let spec = JobSpec::new(format!("job{i}"), Fidelity::ANALYTICAL, point.clone());
+                let id = h.submit(spec).unwrap();
+                assert_eq!(h.wait(id, WAIT), Some(JobState::Done));
+                let (rows, _) = collect(h.subscribe(id).unwrap());
+                (id, serde_json::to_string(&rows).unwrap())
+            })
+            .collect();
+        let never_issued = JobId(streamed.last().unwrap().0 .0 + 1);
+        for &(id, _) in &streamed[..EXTRA] {
+            for id in [id, never_issued] {
+                assert!(h.status(id).is_none(), "{id:?} must be unknown to status");
+                assert!(h.subscribe(id).is_none(), "{id:?} must be unknown to subscribe");
+                assert!(!h.cancel(id), "{id:?} must be unknown to cancel");
+                assert_eq!(h.wait(id, WAIT), None);
+            }
+        }
+        for (id, bytes) in &streamed[EXTRA..] {
+            assert_eq!(h.status(*id).unwrap().state, JobState::Done);
+            let (rows, state) = collect(h.subscribe(*id).unwrap());
+            assert_eq!(state, JobState::Done);
+            assert_eq!(&serde_json::to_string(&rows).unwrap(), bytes, "{id:?} replay changed");
+        }
+        assert_eq!(h.spans().len(), SPAN_LOG_CAP);
+        assert_eq!(h.stats().jobs_completed, (SPAN_LOG_CAP + EXTRA) as u64);
         server.shutdown();
     }
 

@@ -10,6 +10,7 @@
 //! behind every figure of the paper.
 
 use hbm_fpga::axi::BurstLen;
+use hbm_fpga::core::measure::{measured_system, snapshot};
 use hbm_fpga::core::prelude::*;
 
 fn main() {
@@ -51,7 +52,8 @@ fn main() {
         "pattern {pattern:?}, fabric {:?}, BL {burst}, N_ot {outstanding}, IDs {num_ids}\n",
         arg(1, "xlnx")
     );
-    let m = measure(&cfg, wl, 3_000, 12_000);
+    let sys = measured_system(&cfg, wl, 3_000, 12_000);
+    let m = snapshot(&sys, 12_000);
 
     println!(
         "throughput : {:7.2} GB/s total ({:.1}% of device)",
@@ -82,8 +84,11 @@ fn main() {
     );
 
     // Per-master fairness summary.
-    let per: Vec<f64> =
-        m.per_master.iter().map(|g| m.clock.throughput_gbps(g.total_bytes(), m.cycles)).collect();
+    let per: Vec<f64> = sys
+        .gen_stats()
+        .iter()
+        .map(|g| m.clock.throughput_gbps(g.total_bytes(), m.cycles))
+        .collect();
     let min = per.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = per.iter().cloned().fold(0.0, f64::max);
     println!("fairness   : per-master throughput {min:.2}..{max:.2} GB/s");

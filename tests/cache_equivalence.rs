@@ -13,9 +13,10 @@ use hbm_fpga::core::cache::{
     fingerprint, fingerprint_calibrated, fingerprint_versioned, SIM_KERNEL_VERSION,
 };
 use hbm_fpga::core::experiment::Fidelity;
-use hbm_fpga::core::measure::{measure, Measurement};
+use hbm_fpga::core::measure::{measure, measured_system, snapshot, Measurement};
 use hbm_fpga::core::prelude::*;
 use hbm_fpga::core::ResultCache;
+use serde::value::{to_value, Value};
 
 /// Serialises a measurement the same way the wire and the disk tier do;
 /// "byte-identical" throughout this suite means equality of these
@@ -169,6 +170,44 @@ fn kernel_version_bump_invalidates_disk_entries() {
     assert_eq!(snap.hits, 0, "stale-version entry must not be served");
     assert_eq!(snap.misses, 1);
     assert_eq!(snap.stale_skipped, 1, "stale entry is counted, not loaded");
+}
+
+/// Rows cached before a `Measurement` stopped carrying per-master stats
+/// stay valid: a segment line in that layout (the same fields plus a
+/// `per_master` array after `gen`) at the current kernel version loads
+/// as a hit, and the row it yields is byte-identical to a fresh run.
+/// Dropping a field no reader uses moves no counter, so it bumps no
+/// version (DESIGN.md §3.5).
+#[test]
+fn rows_cached_with_per_master_stats_still_hit() {
+    let cfg = SystemConfig::xilinx();
+    let wl = Workload::ccra();
+    let fid = Fidelity::cycle(100, 300);
+    let sys = measured_system(&cfg, wl, fid.warmup, fid.cycles);
+    let Value::Map(mut fields) = to_value(&snapshot(&sys, fid.cycles)) else {
+        panic!("a measurement serialises to a map")
+    };
+    let gen = fields.iter().position(|(k, _)| k == "gen").expect("rows carry `gen`");
+    fields.insert(gen + 1, ("per_master".to_string(), to_value(&sys.gen_stats())));
+    let line = serde_json::json!({
+        "v": SIM_KERNEL_VERSION,
+        "fp": fingerprint(&cfg, &wl, fid).to_string(),
+        "m": Value::Map(fields),
+    })
+    .to_string();
+    let dir = tmp_dir("per-master");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("seg-per-master.jsonl"), format!("{line}\n")).unwrap();
+
+    let cache = ResultCache::with_dir(&dir);
+    let got = cache.measure_cached(&cfg, &wl, fid);
+    let snap = cache.snapshot();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let fresh = bytes(&measure(&cfg, wl, fid.warmup, fid.cycles));
+    assert!(line.len() > 5 * fresh.len(), "the old line carries 32 masters' stats");
+    assert_eq!((snap.hits, snap.misses, snap.disk_segments_skipped), (1, 0, 0));
+    assert_eq!(bytes(&got), fresh, "a row read from the old layout must match a fresh run");
 }
 
 /// Analytical rows are keyed by the calibration artifact's *content*,

@@ -1,6 +1,7 @@
 //! Cross-crate end-to-end integration tests: conservation, draining,
 //! ordering, and fairness invariants on full system runs.
 
+use hbm_fpga::core::measure::measured_system;
 use hbm_fpga::core::prelude::*;
 use hbm_fpga::core::HbmSystem;
 
@@ -85,8 +86,8 @@ fn fairness_under_uniform_load() {
         ("xilinx/scs", SystemConfig::xilinx(), Workload::scs()),
         ("mao/ccs", SystemConfig::mao(), Workload::ccs()),
     ] {
-        let m = measure(&cfg, wl, 2_000, 6_000);
-        let per: Vec<u64> = m.per_master.iter().map(|g| g.total_bytes()).collect();
+        let sys = measured_system(&cfg, wl, 2_000, 6_000);
+        let per: Vec<u64> = sys.gen_stats().iter().map(|g| g.total_bytes()).collect();
         let min = *per.iter().min().unwrap() as f64;
         let max = *per.iter().max().unwrap() as f64;
         assert!(min > 0.0, "{fname}: a master starved");

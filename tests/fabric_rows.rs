@@ -21,6 +21,7 @@
 //!
 //! and review the diff of `tests/golden/*_rows.json`.
 
+use hbm_fpga::core::measure::{measured_system, snapshot};
 use hbm_fpga::core::prelude::*;
 use hbm_fpga::mao::MaoConfig;
 
@@ -89,15 +90,15 @@ fn xilinx_points() -> Vec<(String, SystemConfig, Workload)> {
 
 /// One JSON object per line: the point's name, its measurement
 /// (aggregate generator stats with latency histograms, DRAM and fabric
-/// counters), and each master's completed count in place of the full
-/// per-master stats, which would multiply the file's size by 30.
+/// counters), and each master's completed count, read from the measured
+/// system because a row carries aggregates only.
 fn rows(points: Vec<(String, SystemConfig, Workload)>) -> String {
     let lines: Vec<String> = points
         .into_iter()
         .map(|(name, cfg, wl)| {
-            let mut m = measure(&cfg, wl, WARMUP, CYCLES);
-            let per_master: Vec<u64> = m.per_master.iter().map(|g| g.completed).collect();
-            m.per_master.clear();
+            let sys = measured_system(&cfg, wl, WARMUP, CYCLES);
+            let m = snapshot(&sys, CYCLES);
+            let per_master: Vec<u64> = sys.gen_stats().iter().map(|g| g.completed).collect();
             format!(
                 "{{\"point\":{},\"per_master_completed\":{},\"m\":{}}}",
                 serde_json::to_string(&name).unwrap(),
