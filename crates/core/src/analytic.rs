@@ -17,11 +17,10 @@
 //! simulator is absorbed by a versioned [`Calibration`] artifact fitted
 //! per *scenario family* (fabric class × pattern) by the `repro
 //! xvalidate` harness, which also reports the per-family error envelope
-//! (mean/p95/max relative error). The calibration version *and a
-//! content digest of the active artifact* are keyed into the
-//! result-cache fingerprint, so analytical rows produced under
-//! different calibrations — builtin vs a user-fitted `HBM_CALIBRATION`
-//! artifact at the same version — or cycle rows can never be confused.
+//! (mean/p95/max relative error). Analytical rows are never cached
+//! ([`crate::cache::ResultCache::measure_cached`] predicts them before
+//! any fingerprint is taken), so a row always reflects the active
+//! calibration, builtin or loaded from `HBM_CALIBRATION`.
 //!
 //! Accuracy contract: the *calibrated* bandwidth prediction stays inside
 //! the per-family envelope on the pinned scenario lattice
@@ -43,8 +42,7 @@ use crate::system::{FabricKind, SystemConfig};
 /// Version of the calibration artifact format *and* of the model
 /// equations it was fitted against. Bump whenever either changes:
 /// stale artifacts are rejected loudly and the builtin calibration
-/// takes over, and the cache fingerprint of every analytical row
-/// changes with it.
+/// takes over.
 pub const CALIBRATION_VERSION: u32 = 1;
 
 // ------------------------------------------------------------ families
@@ -210,29 +208,6 @@ impl Calibration {
     /// Serialises the artifact as canonical JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("calibration serialises")
-    }
-
-    /// Stable 64-bit content digest of the artifact (FNV-1a over the
-    /// canonical JSON). The cache keys analytical fingerprints by this,
-    /// not just [`CALIBRATION_VERSION`]: a user-fitted artifact loaded
-    /// via `HBM_CALIBRATION` carries the same version as the builtin,
-    /// and rows produced under different calibration *content* must
-    /// never be served for one another.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in self.to_json().as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    /// [`digest`](Calibration::digest) of [`Calibration::active`],
-    /// computed once (the active calibration is pinned for the process
-    /// lifetime).
-    pub fn active_digest() -> u64 {
-        static DIGEST: OnceLock<u64> = OnceLock::new();
-        *DIGEST.get_or_init(|| Calibration::active().digest())
     }
 
     /// Parses an artifact, rejecting stale versions loudly: a
@@ -925,19 +900,6 @@ mod tests {
         let err = Calibration::from_json(&cal.to_json()).expect_err("stale version must fail");
         assert!(err.contains("stale calibration artifact"), "{err}");
         assert!(err.contains("xvalidate"), "points at the re-fit path: {err}");
-    }
-
-    #[test]
-    fn calibration_digest_tracks_content() {
-        let builtin = Calibration::builtin();
-        assert_eq!(builtin.digest(), Calibration::builtin().digest(), "digest is deterministic");
-        assert_ne!(builtin.digest(), Calibration::identity().digest());
-        // A re-fit that only nudges one residual scale — the same
-        // version, the shape HBM_CALIBRATION artifacts have — still
-        // changes the digest, so cached analytical rows are re-keyed.
-        let mut refit = Calibration::builtin();
-        refit.families[0].bw_scale *= 1.01;
-        assert_ne!(builtin.digest(), refit.digest());
     }
 
     #[test]

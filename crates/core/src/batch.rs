@@ -24,7 +24,7 @@ use hbm_traffic::Workload;
 
 use crate::cache::ResultCache;
 use crate::experiment::Fidelity;
-use crate::measure::{measure, Measurement};
+use crate::measure::Measurement;
 use crate::metrics::{self, Counter, Registry};
 use crate::system::SystemConfig;
 
@@ -170,14 +170,12 @@ pub fn run_grid(
     cycles: u64,
     threads: usize,
 ) -> Vec<Measurement> {
-    run_grid_with_cache(points, warmup, cycles, threads, ResultCache::global())
+    grid(points, Fidelity::cycle(warmup, cycles), threads, ResultCache::global())
 }
 
 /// [`run_grid`] against an explicit cache: each point is answered from
 /// the cache when possible, computed (and inserted) otherwise, with
-/// identical concurrent points single-flighted. Any buffered disk-tier
-/// writes are flushed once at the end of the grid, so a completed sweep
-/// is durable as one crash-safe segment.
+/// identical concurrent points single-flighted.
 pub fn run_grid_with_cache(
     points: &[GridPoint],
     warmup: u64,
@@ -185,50 +183,29 @@ pub fn run_grid_with_cache(
     threads: usize,
     cache: &ResultCache,
 ) -> Vec<Measurement> {
-    if !cache.is_enabled() {
-        return par_map(points, threads, |(cfg, wl)| measure(cfg, *wl, warmup, cycles));
-    }
-    let before = cache.snapshot();
-    let fid = Fidelity::cycle(warmup, cycles);
+    grid(points, Fidelity::cycle(warmup, cycles), threads, cache)
+}
+
+/// [`run_grid`] generalised over the fidelity *tier*: analytical
+/// fidelities evaluate the calibrated closed-form model per point, and
+/// are never cached.
+pub fn run_grid_fid(points: &[GridPoint], fid: Fidelity, threads: usize) -> Vec<Measurement> {
+    grid(points, fid, threads, ResultCache::global())
+}
+
+/// The one grid body: every point through
+/// [`ResultCache::measure_cached`], then any buffered disk-tier writes
+/// flushed once, so a completed sweep is durable as one crash-safe
+/// segment.
+fn grid(
+    points: &[GridPoint],
+    fid: Fidelity,
+    threads: usize,
+    cache: &ResultCache,
+) -> Vec<Measurement> {
     let out = par_map(points, threads, |(cfg, wl)| cache.measure_cached(cfg, wl, fid));
     if let Err(e) = cache.flush() {
         eprintln!("hbm-cache: flush failed: {e}");
-    }
-    grid_cache_summary(cache, &before, points.len());
-    out
-}
-
-/// Per-grid cache effectiveness summary on stderr (stdout stays clean
-/// for machine-readable output). Deltas are computed from the global
-/// cache counters, so concurrent grids in other threads can bleed into
-/// each other's numbers — this is a debugging aid, not an accounting
-/// source (the registry's cache collectors are).
-fn grid_cache_summary(cache: &ResultCache, before: &crate::cache::CacheSnapshot, n: usize) {
-    let after = cache.snapshot();
-    eprintln!(
-        "hbm-cache: grid of {n} points: {} hits, {} misses, {} coalesced ({} entries held)",
-        after.hits.saturating_sub(before.hits),
-        after.misses.saturating_sub(before.misses),
-        after.coalesced.saturating_sub(before.coalesced),
-        after.entries,
-    );
-}
-
-/// [`run_grid`] generalised over the fidelity *tier*: cycle fidelities
-/// route through [`run_grid_with_cache`],
-/// analytical fidelities evaluate the calibrated closed-form model per
-/// point — still content-addressed and single-flighted through the
-/// cache, under calibration-keyed fingerprints.
-pub fn run_grid_fid(points: &[GridPoint], fid: Fidelity, threads: usize) -> Vec<Measurement> {
-    if !fid.is_analytical() {
-        return run_grid(points, fid.warmup, fid.cycles, threads);
-    }
-    let cache = ResultCache::global();
-    let out = par_map(points, threads, |(cfg, wl)| cache.measure_cached(cfg, wl, fid));
-    if cache.is_enabled() {
-        if let Err(e) = cache.flush() {
-            eprintln!("hbm-cache: flush failed: {e}");
-        }
     }
     out
 }

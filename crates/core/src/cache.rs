@@ -8,6 +8,10 @@
 //! memoises measurements under a canonical [`Fingerprint`] of the full
 //! input (including [`SIM_KERNEL_VERSION`], bumped whenever the kernel's
 //! observable behaviour changes, so stale entries can never resurface).
+//! Only cycle-tier rows are cached: an analytical row costs less to
+//! predict than to fingerprint, so
+//! [`measure_cached`](ResultCache::measure_cached) answers it from the
+//! model without touching the cache.
 //!
 //! ## Tiers
 //!
@@ -28,7 +32,10 @@
 //! becomes the *leader* and computes, the rest park as *followers* and
 //! receive the leader's result. A panicking leader wakes its followers,
 //! who retry (one of them becoming the new leader) — a poisoned point
-//! never wedges the cache.
+//! never wedges the cache. This is the only single-flight in the
+//! workspace: batch grids and serve workers both reach it through
+//! [`measure_cached`](ResultCache::measure_cached), and its counters
+//! are the only hit/miss/coalesced counters.
 //!
 //! ## The invariant
 //!
@@ -116,39 +123,8 @@ pub fn fingerprint_versioned(
     fid: Fidelity,
     version: u32,
 ) -> Fingerprint {
-    // Cycle tiers never touch the calibration — resolving the active
-    // artifact lazily keeps cycle-only runs from loading (and possibly
-    // warning about) HBM_CALIBRATION they do not use.
-    let cal_digest =
-        if fid.is_analytical() { crate::analytic::Calibration::active_digest() } else { 0 };
-    fingerprint_calibrated(cfg, wl, fid, version, cal_digest)
-}
-
-/// [`fingerprint_versioned`] pinned to an explicit calibration content
-/// digest ([`Calibration::digest`](crate::analytic::Calibration::digest);
-/// ignored for cycle tiers) — the hook the invalidation tests use to
-/// prove a re-fitted calibration re-keys every analytical point.
-pub fn fingerprint_calibrated(
-    cfg: &SystemConfig,
-    wl: &Workload,
-    fid: Fidelity,
-    version: u32,
-    cal_digest: u64,
-) -> Fingerprint {
-    // Analytical rows additionally key the calibration artifact: its
-    // version *and* a digest of its content, because a user-fitted
-    // artifact loaded via HBM_CALIBRATION necessarily carries the
-    // current version yet predicts different rows. A re-fitted or
-    // swapped calibration therefore re-keys every analytical point, and
-    // analytical rows can never be confused with cycle rows (the tier
-    // is part of the Fidelity JSON).
-    let cal = if fid.is_analytical() {
-        format!("|cal{}:{cal_digest:016x}", crate::analytic::CALIBRATION_VERSION)
-    } else {
-        String::new()
-    };
     let canon = format!(
-        "v{version}{cal}|{}|{}|{}",
+        "v{version}|{}|{}|{}",
         serde_json::to_string(cfg).expect("SystemConfig serialises"),
         serde_json::to_string(wl).expect("Workload serialises"),
         serde_json::to_string(&fid).expect("Fidelity serialises"),
@@ -486,6 +462,13 @@ impl ResultCache {
                 match fl.get(&fp.0) {
                     Some(f) => (f.clone(), false),
                     None => {
+                        // A leader inserts its row before it removes its
+                        // flight, so a row that landed since the lookup
+                        // above is visible here: look again before
+                        // leading, or that point is simulated twice.
+                        if let Some(m) = self.lookup(fp, true) {
+                            return m;
+                        }
                         let f = Arc::new(Flight::new());
                         fl.insert(fp.0, f.clone());
                         (f, true)
@@ -511,24 +494,39 @@ impl ResultCache {
         }
     }
 
-    /// Memoised [`measure`]: the one call site `batch` and `experiment`
-    /// route every sweep point through.
+    /// Memoised [`measure`]: the one way a sweep point is evaluated, by
+    /// `batch`, `experiment` and the serve workers alike. Analytical
+    /// fidelities answer from [`crate::analytic::predict`] before any
+    /// fingerprint is taken: the model computes a row in about a
+    /// microsecond, a tenth of what the fingerprint alone costs, so
+    /// those rows are neither looked up, counted nor stored.
     pub fn measure_cached(&self, cfg: &SystemConfig, wl: &Workload, fid: Fidelity) -> Measurement {
-        // The fidelity tier dispatches here: analytical points evaluate
-        // the calibrated closed-form model instead of the cycle kernel,
-        // under a calibration-keyed fingerprint (see [`fingerprint`]).
-        let compute = || {
-            if fid.is_analytical() {
-                crate::analytic::predict(cfg, wl, fid, crate::analytic::Calibration::active())
-            } else {
-                measure(cfg, *wl, fid.warmup, fid.cycles)
-            }
-        };
+        if fid.is_analytical() {
+            return crate::analytic::predict(cfg, wl, fid, crate::analytic::Calibration::active());
+        }
+        let compute = || measure(cfg, *wl, fid.warmup, fid.cycles);
         if !self.is_enabled() {
             return compute();
         }
-        let fp = fingerprint(cfg, wl, fid);
-        (*self.get_or_compute(fp, compute)).clone()
+        (*self.get_or_compute(fingerprint(cfg, wl, fid), compute)).clone()
+    }
+
+    /// The counted lookup [`measure_cached`] starts with, on its own:
+    /// the cached row of a point, if any. `None` for a disabled cache
+    /// and for an analytical fidelity, which is never cached. The serve
+    /// scheduler deposits such a hit at claim time, with no worker.
+    ///
+    /// [`measure_cached`]: ResultCache::measure_cached
+    pub fn cached(
+        &self,
+        cfg: &SystemConfig,
+        wl: &Workload,
+        fid: Fidelity,
+    ) -> Option<Arc<Measurement>> {
+        if !self.is_enabled() || fid.is_analytical() {
+            return None;
+        }
+        self.get(fingerprint(cfg, wl, fid))
     }
 
     /// Drops every memory-tier entry (counters and the disk tier are
@@ -576,40 +574,35 @@ impl ResultCache {
     }
 
     /// Loads disk segments into the memory tier, once, on first lookup.
+    /// The disk lock is held until the memory tier is filled and the
+    /// flag is cleared last, so a concurrent first lookup waits here
+    /// instead of missing a point the disk holds. Lock order is flights
+    /// → disk → shard; nothing takes two of them the other way round.
     fn ensure_loaded(&self) {
         if !self.inner.disk_needs_load.load(Ordering::Acquire) {
             return;
         }
-        let dir = {
-            let mut disk = self.inner.disk.lock().unwrap();
-            match disk.as_mut() {
-                Some(d) if !d.loaded => {
-                    d.loaded = true;
-                    self.inner.disk_needs_load.store(false, Ordering::Release);
-                    d.dir.clone()
-                }
-                _ => {
-                    self.inner.disk_needs_load.store(false, Ordering::Release);
-                    return;
-                }
-            }
-        };
-        for (fp, m) in self.read_segments(&dir) {
-            let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed);
-            let cap = self.per_shard_cap();
-            let mut shard = self.shard(fp).lock().unwrap();
-            shard.map.entry(fp).or_insert((m, tick));
-            while shard.map.len() > cap {
-                let oldest = shard.map.iter().min_by_key(|(_, (_, t))| *t).map(|(&k, _)| k);
-                match oldest {
-                    Some(k) => {
-                        shard.map.remove(&k);
-                        self.inner.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut disk = self.inner.disk.lock().unwrap();
+        if let Some(d) = disk.as_mut().filter(|d| !d.loaded) {
+            d.loaded = true;
+            for (fp, m) in self.read_segments(&d.dir) {
+                let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed);
+                let cap = self.per_shard_cap();
+                let mut shard = self.shard(fp).lock().unwrap();
+                shard.map.entry(fp).or_insert((m, tick));
+                while shard.map.len() > cap {
+                    let oldest = shard.map.iter().min_by_key(|(_, (_, t))| *t).map(|(&k, _)| k);
+                    match oldest {
+                        Some(k) => {
+                            shard.map.remove(&k);
+                            self.inner.evictions.fetch_add(1, Ordering::Relaxed);
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
             }
         }
+        self.inner.disk_needs_load.store(false, Ordering::Release);
     }
 
     /// Parses every `*.jsonl` segment under `dir`. A segment is
@@ -850,6 +843,35 @@ mod tests {
         assert_eq!(snap.hits + snap.coalesced, 7);
     }
 
+    /// Four callers per point released together, with a compute that
+    /// returns at once: a caller whose lookup missed just before the
+    /// leader finished must find the row, not lead a second run.
+    #[test]
+    fn a_row_that_lands_after_a_missed_lookup_is_not_recomputed() {
+        const THREADS: usize = 4;
+        const ROUNDS: u128 = 2_000;
+        let (cfg, wl) = point(3);
+        let row = measure(&cfg, wl, 50, 100);
+        let cache = ResultCache::new();
+        let runs = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(THREADS);
+        for round in 0..ROUNDS {
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_compute(Fingerprint(round), || {
+                            runs.fetch_add(1, Ordering::Relaxed);
+                            row.clone()
+                        });
+                    });
+                }
+            });
+        }
+        let snap = cache.snapshot();
+        assert_eq!(runs.load(Ordering::Relaxed) as u128, ROUNDS, "{snap:?}");
+    }
+
     #[test]
     fn aborted_leader_wakes_followers_who_retry() {
         let cache = ResultCache::new();
@@ -908,6 +930,45 @@ mod tests {
         assert_eq!(snap.disk_segments_loaded, 1);
         assert_eq!(snap.disk_entries_loaded, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_first_lookups_on_a_warm_directory_all_hit() {
+        const THREADS: usize = 8;
+        const KEYS: usize = 200;
+        let dir = tmp_dir("warm-race");
+        let (cfg, wl) = point(0);
+        let keys: Vec<Fingerprint> = (0..KEYS as u64)
+            .map(|seed| fingerprint(&cfg, &Workload { seed, ..wl }, fid()))
+            .collect();
+        {
+            // One row under many keys: a segment that takes a while to
+            // load, so the threads below meet inside the load.
+            let m = Arc::new(measure(&cfg, wl, 50, 100));
+            let cache = ResultCache::with_dir(&dir);
+            for &k in &keys {
+                cache.insert(k, m.clone());
+            }
+            cache.flush().unwrap();
+        }
+        let cache = ResultCache::with_dir(&dir);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let hit: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (cache, barrier, key) = (&cache, &barrier, keys[t * KEYS / THREADS]);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        cache.get(key).is_some()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let snap = cache.snapshot();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(hit.iter().all(|&h| h), "every first lookup must hit: {hit:?}");
+        assert_eq!((snap.hits, snap.disk_entries_loaded), (THREADS as u64, KEYS as u64));
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //!   rows; a point past its budget comes back [`RowStatus::TimedOut`];
 //!   a panicking point comes back [`RowStatus::Failed`] without taking
 //!   the worker down.
+//! * **One evaluation path** — workers evaluate every point through
+//!   [`ResultCache::measure_cached`], as batch grids do. A point the
+//!   cache holds is deposited at claim time without a worker; identical
+//!   points in flight share one simulation through the cache's
+//!   single-flight; analytical points are predicted, never cached. The
+//!   `stats` verb's `cache_*` fields are the cache's own counters.
 //! * **Observability** — queue-wait / run / stream latency histograms
 //!   (power-of-two buckets, same design as `hbm_axi::instrument::Hist`),
 //!   worker utilisation, and depth gauges, exported as a JSON

@@ -31,28 +31,47 @@
 //! and of cancellations of other jobs (enforced by the
 //! `serve_determinism` proptest).
 //!
-//! ## Result cache and single-flight coalescing
+//! ## Result cache
 //!
-//! When a [`hbm_core::cache::ResultCache`] is attached
+//! Every point is evaluated one way, through
+//! [`ResultCache::measure_cached`] on the attached cache
 //! ([`ServeConfig::cache`], defaulting to the process-wide cache — which
-//! is disabled unless `--cache-dir`/`HBM_CACHE_DIR` turned it on), the
-//! scheduler consults it at *claim* time:
+//! is disabled unless `--cache-dir`/`HBM_CACHE_DIR` turned it on):
 //!
-//! * **hit** — the row is deposited inline (no dispatch, no worker);
-//! * **in-flight elsewhere** — the point attaches as a *waiter* to the
-//!   identical point already running (same fingerprint **and** same
-//!   effective timeout budget) and receives a mirror of its row on
-//!   completion — one simulation serves every concurrent requester;
-//! * **miss** — the point dispatches normally and registers the flight.
+//! * **claim** — a point whose row the cache already holds
+//!   ([`ResultCache::cached`]) is deposited inline: no dispatch, no
+//!   worker;
+//! * **worker** — every other point is dispatched, and its worker calls
+//!   `measure_cached`. An identical point already simulating is found in
+//!   the cache's single-flight: the worker waits for that row instead of
+//!   simulating twice. Analytical fidelities are predicted there, and
+//!   never cached.
 //!
-//! Determinism makes this invisible in the output: a cache hit or a
-//! coalesced row is byte-identical to a fresh run. Fair-share accounting
-//! is preserved because claims still rotate jobs point by point; only
-//! the *work* is deduplicated. The dispatch log records real dispatches
-//! only, which is what lets tests prove a point was never simulated
-//! twice.
+//! The cache's own counters are the only hit/miss/coalesced counters;
+//! the `stats` reply repeats them. Determinism makes all of this
+//! invisible in the output: a hit or a coalesced row is byte-identical
+//! to a fresh run. Fair-share accounting is unchanged, because claims
+//! still rotate jobs point by point. The dispatch log records every
+//! point that went to a worker, waiting ones included, so one
+//! simulation per point is proven by the cache's `misses`, not by the
+//! log.
+//!
+//! Two consequences are deliberate:
+//!
+//! * **Waiting costs a worker.** A point whose twin is in flight waits
+//!   on its worker, inside the cache's flight. Identical grids submitted
+//!   together still simulate each point once, but the waiting worker
+//!   does no other work meanwhile and counts as busy in
+//!   `worker_utilisation` and `run_us`.
+//! * **Budgets do not split flights.** Only a `Done` row is ever shared,
+//!   whatever the budget of the job that asked for it. A budget bounds
+//!   how long a job waits, not the simulation: a timed-out point's
+//!   helper thread finishes in the background and its row lands in the
+//!   cache. A point that panics aborts its flight and each waiting
+//!   point retries it, so a deterministic panic costs one run per
+//!   waiting point.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
@@ -61,9 +80,8 @@ use std::time::{Duration, Instant};
 
 use hbm_core::analytic;
 use hbm_core::batch::{self, panic_message, GridPoint};
-use hbm_core::cache::{fingerprint, Fingerprint, ResultCache};
+use hbm_core::cache::ResultCache;
 use hbm_core::experiment::{Fidelity, FidelityTier};
-use hbm_core::measure::measure;
 use hbm_core::metrics::{self, Registry};
 use hbm_core::Measurement;
 
@@ -80,12 +98,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Back-off hint attached to rejections, in milliseconds.
     pub retry_after_ms: u64,
-    /// Default per-point timeout for jobs that don't set their own.
-    pub default_timeout_ms: Option<u64>,
     /// Start with dispatch paused (tests use this to stage a precise
     /// queue picture before any worker claims a point).
     pub paused: bool,
-    /// Result cache consulted at claim time; `None` uses the
+    /// Result cache consulted at claim time and evaluated through by
+    /// the workers; `None` uses the
     /// process-wide [`ResultCache::global`] (disabled by default, so the
     /// scheduler re-simulates every point unless caching was turned on).
     /// Tests attach local instances to avoid cross-test state.
@@ -102,7 +119,6 @@ impl Default for ServeConfig {
             workers: batch::sweep_jobs(),
             queue_capacity: 4_096,
             retry_after_ms: 50,
-            default_timeout_ms: None,
             paused: false,
             cache: None,
             span_log: None,
@@ -194,12 +210,6 @@ impl JobEntry {
     }
 }
 
-/// Key of one in-flight computation waiters can coalesce onto: the
-/// point's content fingerprint plus its effective timeout budget (a
-/// waiter must not inherit an outcome measured under a different
-/// wall-clock budget).
-type FlightKey = (u128, Option<u64>);
-
 /// Scheduler state under the one mutex.
 struct State {
     next_job: u64,
@@ -207,9 +217,6 @@ struct State {
     /// Ready jobs per priority level: round-robin within a level,
     /// highest level drained first.
     ready: BTreeMap<u8, VecDeque<u64>>,
-    /// Claimed-but-identical points waiting on a dispatched flight:
-    /// `(job, index)` pairs that receive a mirror of the flight's row.
-    inflight: HashMap<FlightKey, Vec<(u64, usize)>>,
     queued_points: usize,
     running_points: usize,
     paused: bool,
@@ -242,12 +249,11 @@ impl State {
         }
     }
 
-    /// Claims the next point that actually needs a worker. Cache hits
-    /// are deposited inline and identical in-flight points attach as
-    /// waiters — both without leaving the lock — and claiming continues
-    /// until real work (or nothing) is found. Returns the work
-    /// description plus whether any rows were deposited inline (the
-    /// caller then wakes progress waiters).
+    /// Claims the next point that actually needs a worker. Points the
+    /// cache holds are deposited inline without leaving the lock, and
+    /// claiming continues until real work (or nothing) is found.
+    /// Returns the work description plus whether any rows were deposited
+    /// inline (the caller then wakes progress waiters).
     fn claim(&mut self, cache: &ResultCache) -> (Option<Claimed>, bool) {
         let mut deposited = false;
         loop {
@@ -276,41 +282,18 @@ impl State {
             self.queued_points -= 1;
             self.stats.queue_wait_us.record(wait_us);
 
-            let flight = if cache.is_enabled() {
-                let fp = fingerprint(&point.0, &point.1, fidelity);
-                if let Some(m) = cache.get(fp) {
-                    // Answered from the cache: the row is deposited
-                    // here and now; no worker ever sees the point.
-                    self.stats.cache_hits.inc();
-                    self.deposit_row(id, index, RowStatus::Done, Some((*m).clone()), now);
-                    deposited = true;
-                    continue;
-                }
-                let key: FlightKey = (fp.0, timeout_ms);
-                if let Some(waiters) = self.inflight.get_mut(&key) {
-                    // Identical point already on a worker: wait for its
-                    // row instead of simulating twice.
-                    waiters.push((id, index));
-                    self.stats.cache_coalesced.inc();
-                    let entry = self.jobs.get_mut(&id).expect("claimed job exists");
-                    entry.running += 1;
-                    continue;
-                }
-                self.inflight.insert(key, Vec::new());
-                self.stats.cache_misses.inc();
-                Some(key)
-            } else {
-                None
-            };
-
+            if let Some(m) = cache.cached(&point.0, &point.1, fidelity) {
+                // Answered from the cache: the row is deposited here and
+                // now; no worker ever sees the point.
+                self.deposit_row(id, index, RowStatus::Done, Some((*m).clone()), now);
+                deposited = true;
+                continue;
+            }
             let entry = self.jobs.get_mut(&id).expect("claimed job exists");
             entry.running += 1;
             self.running_points += 1;
             self.stats.log_dispatch(id, index);
-            return (
-                Some(Claimed { job: id, index, point, fidelity, timeout_ms, flight }),
-                deposited,
-            );
+            return (Some(Claimed { job: id, index, point, fidelity, timeout_ms }), deposited);
         }
     }
 
@@ -471,10 +454,6 @@ struct Claimed {
     point: GridPoint,
     fidelity: Fidelity,
     timeout_ms: Option<u64>,
-    /// The registered flight key when the result cache is active; the
-    /// completion path deposits mirrors to the flight's waiters and
-    /// inserts a `Done` measurement into the cache.
-    flight: Option<FlightKey>,
 }
 
 struct Shared {
@@ -484,7 +463,8 @@ struct Shared {
     /// Waiters (status polls, `wait`) park here for any progress.
     progress: Condvar,
     workers: usize,
-    /// The result cache claims consult (possibly disabled).
+    /// The result cache claims and workers evaluate through (possibly
+    /// disabled).
     cache: ResultCache,
 }
 
@@ -495,7 +475,6 @@ pub struct ServeHandle {
     shared: Arc<Shared>,
     retry_after_ms: u64,
     queue_capacity: usize,
-    default_timeout_ms: Option<u64>,
 }
 
 /// A running serving pool: worker threads plus the [`ServeHandle`] to
@@ -532,7 +511,6 @@ impl Server {
                 next_job: 0,
                 jobs: BTreeMap::new(),
                 ready: BTreeMap::new(),
-                inflight: HashMap::new(),
                 queued_points: 0,
                 running_points: 0,
                 paused: cfg.paused,
@@ -551,7 +529,6 @@ impl Server {
             shared: shared.clone(),
             retry_after_ms: cfg.retry_after_ms,
             queue_capacity: cfg.queue_capacity,
-            default_timeout_ms: cfg.default_timeout_ms,
         };
         let threads = (0..workers)
             .map(|w| {
@@ -651,9 +628,6 @@ impl ServeHandle {
             first_dispatch: None,
             finished_at: None,
         };
-        if entry.spec.timeout_ms.is_none() {
-            entry.spec.timeout_ms = self.default_timeout_ms;
-        }
         let n = entry.total();
         st.stats.jobs_submitted.inc();
         if n == 0 {
@@ -876,65 +850,42 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let t0 = Instant::now();
-        let (status, measurement) = run_point(&claimed);
+        let (job, index) = (claimed.job, claimed.index);
+        let (status, measurement) = run_point(&shared.cache, claimed);
         let run = t0.elapsed();
-
-        // Publish a successful flight's measurement before depositing,
-        // so any claim that raced past the (removed) flight still hits.
-        if let (Some(_), RowStatus::Done, Some(m)) = (&claimed.flight, &status, &measurement) {
-            let fp = Fingerprint(claimed.flight.expect("just matched").0);
-            shared.cache.insert(fp, Arc::new(m.clone()));
-        }
 
         let mut st = shared.state.lock().unwrap();
         st.running_points -= 1;
         st.stats.run_us.record(run.as_micros() as u64);
         st.stats.busy_ns.add(run.as_nanos() as u64);
-        let waiters = match claimed.flight {
-            Some(key) => st.inflight.remove(&key).unwrap_or_default(),
-            None => Vec::new(),
-        };
-        let now = Instant::now();
-        st.jobs.get_mut(&claimed.job).expect("job of a running point exists").running -= 1;
-        st.deposit_row(claimed.job, claimed.index, status.clone(), measurement.clone(), now);
-        // Every coalesced waiter receives a mirror of the flight's row —
-        // determinism makes it byte-identical to running the point
-        // itself.
-        for (job, index) in waiters {
-            st.jobs.get_mut(&job).expect("waiting job exists").running -= 1;
-            st.deposit_row(job, index, status.clone(), measurement.clone(), now);
-        }
+        st.jobs.get_mut(&job).expect("job of a running point exists").running -= 1;
+        st.deposit_row(job, index, status, measurement, Instant::now());
         drop(st);
         shared.progress.notify_all();
     }
 }
 
-/// Measures one claimed point, containing panics and enforcing the
-/// wall-clock budget. Timeout enforcement runs the measurement on a
-/// helper thread and abandons it past the deadline (the helper finishes
-/// in the background and its result is dropped — a simulation cannot be
-/// interrupted midway).
-fn run_point(c: &Claimed) -> (RowStatus, Option<Measurement>) {
-    let (cfg, wl) = c.point.clone();
-    let fid = c.fidelity;
-    match c.timeout_ms {
-        None => {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                measure_point(&cfg, wl, fid)
-            }));
-            match r {
-                Ok(m) => (RowStatus::Done, Some(m)),
-                Err(p) => (RowStatus::Failed { error: panic_message(&p) }, None),
-            }
-        }
+/// Evaluates one claimed point through [`ResultCache::measure_cached`],
+/// containing panics and enforcing the wall-clock budget. With a budget
+/// the evaluation runs on a helper thread holding its own clone of the
+/// cache, abandoned past the deadline: a simulation cannot be
+/// interrupted midway, so the helper finishes in the background and its
+/// row still lands in the cache.
+fn run_point(cache: &ResultCache, c: Claimed) -> (RowStatus, Option<Measurement>) {
+    let Claimed { point: (cfg, wl), fidelity, timeout_ms, .. } = c;
+    let evaluate = move |cache: &ResultCache| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.measure_cached(&cfg, &wl, fidelity)
+        }))
+    };
+    let outcome = match timeout_ms {
+        None => evaluate(cache),
         Some(ms) => {
             let (tx, rx) = std::sync::mpsc::channel();
+            let cache = cache.clone();
             let spawned =
                 std::thread::Builder::new().name("hbm-serve-timeout".into()).spawn(move || {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        measure_point(&cfg, wl, fid)
-                    }));
-                    let _ = tx.send(r);
+                    let _ = tx.send(evaluate(&cache));
                 });
             if spawned.is_err() {
                 return (
@@ -943,27 +894,14 @@ fn run_point(c: &Claimed) -> (RowStatus, Option<Measurement>) {
                 );
             }
             match rx.recv_timeout(Duration::from_millis(ms)) {
-                Ok(Ok(m)) => (RowStatus::Done, Some(m)),
-                Ok(Err(p)) => (RowStatus::Failed { error: panic_message(&p) }, None),
-                Err(_) => (RowStatus::TimedOut, None),
+                Ok(r) => r,
+                Err(_) => return (RowStatus::TimedOut, None),
             }
         }
-    }
-}
-
-/// The fidelity-tier dispatch of one point: cycle fidelities simulate,
-/// analytical fidelities evaluate the calibrated closed-form model —
-/// same dispatch [`hbm_core::cache::ResultCache::measure_cached`]
-/// performs, minus the cache (the worker loop handles insertion).
-fn measure_point(
-    cfg: &hbm_core::SystemConfig,
-    wl: hbm_traffic::Workload,
-    fid: Fidelity,
-) -> Measurement {
-    if fid.is_analytical() {
-        analytic::predict(cfg, &wl, fid, analytic::Calibration::active())
-    } else {
-        measure(cfg, wl, fid.warmup, fid.cycles)
+    };
+    match outcome {
+        Ok(m) => (RowStatus::Done, Some(m)),
+        Err(p) => (RowStatus::Failed { error: panic_message(&p) }, None),
     }
 }
 
@@ -1161,21 +1099,17 @@ mod tests {
         assert_eq!(h.wait(a, WAIT), Some(JobState::Done));
         assert_eq!(h.wait(b, WAIT), Some(JobState::Done));
 
-        // The dispatch log proves single-flight: each of the 4 unique
-        // points was simulated exactly once, despite 8 queued rows.
-        let log = h.dispatch_log();
-        assert_eq!(log.len(), 4, "4 unique points → 4 dispatches, log: {log:?}");
-        let mut indices: Vec<usize> = log.iter().map(|&(_, i)| i).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, vec![0, 1, 2, 3], "every unique point ran once: {log:?}");
-
+        // The cache's misses prove single-flight: each of the 4 unique
+        // points was simulated exactly once, despite 8 queued rows. A
+        // duplicate either hit at claim time or waited on its twin's
+        // flight on a worker.
         let snap = h.stats();
         assert_eq!(snap.rows_done, 8, "all 8 rows streamed");
-        assert_eq!(snap.cache_misses, 4);
+        assert_eq!(snap.cache_misses, 4, "4 unique points → 4 simulations: {snap:?}");
         assert_eq!(
             snap.cache_hits + snap.cache_coalesced,
             4,
-            "the duplicate rows were answered without dispatch: {snap:?}"
+            "the duplicate rows were answered without a simulation: {snap:?}"
         );
 
         // Both jobs' rows carry real measurements, identical to direct.
@@ -1221,9 +1155,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_jobs_preserve_fidelity_and_timeout_isolation() {
-        // Same points at a different fidelity or timeout budget must
-        // not share results or flights.
+    fn different_fidelities_never_share_rows() {
+        // Same points at a different fidelity must not share results or
+        // flights. (Budgets do share: see
+        // `budgets_share_one_simulation_but_only_done_rows`.)
         let cache = ResultCache::new();
         let server = Server::spawn(ServeConfig {
             workers: 1,
@@ -1240,6 +1175,70 @@ mod tests {
         assert_eq!(snap.cache_hits, 0, "different fidelity cannot hit");
         assert_eq!(snap.cache_misses, 4);
         assert_eq!(h.dispatch_log().len(), 4);
+        server.shutdown();
+    }
+
+    #[test]
+    fn budgets_share_one_simulation_but_only_done_rows() {
+        let cache = ResultCache::new();
+        let server = Server::spawn(ServeConfig {
+            workers: 1,
+            paused: true,
+            cache: Some(cache.clone()),
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        let rushed = h.submit(spec("rushed", 1).with_timeout_ms(0)).unwrap();
+        let patient = h.submit(spec("patient", 1)).unwrap();
+        h.resume();
+        assert_eq!(h.wait(rushed, WAIT), Some(JobState::Done));
+        assert_eq!(h.wait(patient, WAIT), Some(JobState::Done));
+        let (rows, _) = collect(h.subscribe(rushed).unwrap());
+        assert_eq!(rows[0].status, RowStatus::TimedOut);
+        assert!(rows[0].measurement.is_none());
+        let (rows, _) = collect(h.subscribe(patient).unwrap());
+        assert_eq!(rows[0].status, RowStatus::Done);
+        let direct = run_grid(&tiny_points(1), FID.warmup, FID.cycles, 1);
+        assert_eq!(
+            serde_json::to_string(rows[0].measurement.as_ref().unwrap()).unwrap(),
+            serde_json::to_string(&direct[0]).unwrap()
+        );
+        // The timed-out job's simulation and the patient job's are one:
+        // whichever started first led, the other waited or hit.
+        assert_eq!(cache.snapshot().misses, 1, "{:?}", cache.snapshot());
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_cache_fields_are_the_cache_counters() {
+        let cache = ResultCache::new();
+        let server = Server::spawn(ServeConfig {
+            workers: 2,
+            paused: true,
+            cache: Some(cache.clone()),
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        // A miss and a rival on the same point (which waits on its
+        // flight, or hits if the leader is already done), then two hits.
+        let a = h.submit(spec("a", 1)).unwrap();
+        let b = h.submit(spec("b", 1)).unwrap();
+        h.resume();
+        assert_eq!(h.wait(a, WAIT), Some(JobState::Done));
+        assert_eq!(h.wait(b, WAIT), Some(JobState::Done));
+        let again = h.submit(JobSpec::new("again", FID, [tiny_points(1), tiny_points(1)].concat()));
+        assert_eq!(h.wait(again.unwrap(), WAIT), Some(JobState::Done));
+
+        let snap = h.stats();
+        let own = cache.snapshot();
+        assert_eq!(
+            (snap.cache_hits, snap.cache_misses, snap.cache_coalesced),
+            (own.hits, own.misses, own.coalesced)
+        );
+        assert_eq!(snap.cache, own);
+        assert_eq!(own.misses, 1);
+        assert_eq!(own.hits + own.coalesced, 3, "{own:?}");
+        assert!(own.hits >= 2, "the resubmitted points hit at claim time: {own:?}");
         server.shutdown();
     }
 

@@ -56,13 +56,6 @@ pub struct ServeStats {
     pub rows_timed_out: Arc<Counter>,
     /// Points cancelled before dispatch.
     pub rows_cancelled: Arc<Counter>,
-    /// Points answered from the result cache at claim time (no
-    /// dispatch).
-    pub cache_hits: Arc<Counter>,
-    /// Points dispatched because the cache had no answer.
-    pub cache_misses: Arc<Counter>,
-    /// Points coalesced onto an identical in-flight computation.
-    pub cache_coalesced: Arc<Counter>,
     /// Recent dispatches as `(job, point-index)`, oldest first, capped
     /// at [`DISPATCH_LOG_CAP`].
     pub dispatch_log: Vec<(u64, usize)>,
@@ -79,7 +72,6 @@ impl ServeStats {
     pub fn registered(reg: &Registry) -> ServeStats {
         let jobs = "Serve jobs by admission/terminal state";
         let rows = "Serve rows (points) by outcome";
-        let claims = "Serve point claims by result-cache outcome";
         ServeStats {
             started: Instant::now(),
             queue_wait_us: reg.histogram_owned(
@@ -134,17 +126,6 @@ impl ServeStats {
                 rows,
                 &[("outcome", "cancelled")],
             ),
-            cache_hits: reg.counter_owned("hbm_serve_claims_total", claims, &[("result", "hit")]),
-            cache_misses: reg.counter_owned(
-                "hbm_serve_claims_total",
-                claims,
-                &[("result", "miss")],
-            ),
-            cache_coalesced: reg.counter_owned(
-                "hbm_serve_claims_total",
-                claims,
-                &[("result", "coalesced")],
-            ),
             dispatch_log: Vec::new(),
         }
     }
@@ -164,7 +145,8 @@ impl ServeStats {
 
     /// Folds the counters into an exportable snapshot. `workers` scales
     /// the utilisation denominator; the depth gauges and cache snapshot
-    /// come from the scheduler that owns these counters.
+    /// come from the scheduler that owns these counters, and the
+    /// snapshot's `cache_*` fields repeat the cache's own counters.
     pub fn snapshot(
         &self,
         workers: usize,
@@ -189,9 +171,9 @@ impl ServeStats {
             rows_failed: self.rows_failed.get(),
             rows_timed_out: self.rows_timed_out.get(),
             rows_cancelled: self.rows_cancelled.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_coalesced: self.cache_coalesced.get(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_coalesced: cache.coalesced,
             cache,
         }
     }
@@ -315,11 +297,14 @@ pub struct StatsSnapshot {
     pub rows_timed_out: u64,
     /// Cancelled points.
     pub rows_cancelled: u64,
-    /// Points answered from the result cache at claim time.
+    /// [`CacheSnapshot::hits`] of `cache`: lookups answered from memory,
+    /// at claim time or by a worker.
     pub cache_hits: u64,
-    /// Points dispatched because the cache had no answer.
+    /// [`CacheSnapshot::misses`] of `cache`: lookups that led a
+    /// simulation, one per point simulated.
     pub cache_misses: u64,
-    /// Points coalesced onto an identical in-flight computation.
+    /// [`CacheSnapshot::coalesced`] of `cache`: lookups that waited on
+    /// an identical point already simulating.
     pub cache_coalesced: u64,
     /// Gauges and counters of the attached result cache itself.
     pub cache: CacheSnapshot,

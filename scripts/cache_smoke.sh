@@ -2,9 +2,11 @@
 # Result-cache smoke test: the end-to-end contract over a real disk tier.
 #
 #   1. Run `repro fig4 --json --quick --cache-dir D` twice. The second
-#      (warm) run must report cache hits on stderr and its stdout must
-#      diff CLEAN against the first — a cache hit is byte-identical to a
-#      fresh simulation, so caching is invisible in the output.
+#      (warm) run, at `--jobs 2`, must report cache hits and no misses on
+#      stderr — two workers' first lookups both wait for the disk tier
+#      to load — and its stdout must diff CLEAN against the first: a
+#      cache hit is byte-identical to a fresh simulation, so caching is
+#      invisible in the output.
 #   2. Corrupt a disk segment (truncate mid-line, the crash shape the
 #      write-then-rename protocol defends against) and run again: the
 #      damaged segment is skipped loudly, the grid is recomputed, and
@@ -27,8 +29,9 @@ trap 'rm -rf "$WORK"' EXIT
 
 [ -x "$REPRO" ] || { echo "missing $REPRO (build it first)"; exit 1; }
 
-# Pulls the N out of "hbm-cache: N hits, M misses, ..." on stderr.
+# Pull the N and the M out of "hbm-cache: N hits, M misses, ..." on stderr.
 hits_of() { grep -o 'hbm-cache: [0-9]* hits' "$1" | grep -o '[0-9]*' || echo 0; }
+misses_of() { grep -o 'hbm-cache: [0-9]* hits, [0-9]* misses' "$1" | grep -o '[0-9]* misses' | grep -o '[0-9]*'; }
 
 echo "== cold run (fills $CACHE)"
 "$REPRO" fig4 --json --quick --cache-dir "$CACHE" > "$WORK/cold.json" 2> "$WORK/cold.err"
@@ -36,11 +39,12 @@ cat "$WORK/cold.err"
 [ "$(hits_of "$WORK/cold.err")" -eq 0 ] || { echo "cold run cannot hit"; exit 1; }
 ls "$CACHE"/*.jsonl > /dev/null || { echo "cold run wrote no segment"; exit 1; }
 
-echo "== warm run must hit and diff clean"
-"$REPRO" fig4 --json --quick --cache-dir "$CACHE" > "$WORK/warm.json" 2> "$WORK/warm.err"
+echo "== warm run at --jobs 2 must hit, never miss, and diff clean"
+"$REPRO" fig4 --json --quick --cache-dir "$CACHE" --jobs 2 > "$WORK/warm.json" 2> "$WORK/warm.err"
 cat "$WORK/warm.err"
 HITS=$(hits_of "$WORK/warm.err")
 [ "$HITS" -gt 0 ] || { echo "warm run reported no cache hits"; exit 1; }
+[ "$(misses_of "$WORK/warm.err")" = 0 ] || { echo "warm run missed a point the disk holds"; exit 1; }
 diff -u "$WORK/cold.json" "$WORK/warm.json" || { echo "warm stdout diverged from cold"; exit 1; }
 echo "   $HITS hits, stdout byte-identical"
 
