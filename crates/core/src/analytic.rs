@@ -35,7 +35,7 @@ use hbm_traffic::{GenStats, Pattern, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::GridPoint;
-use crate::experiment::Fidelity;
+use crate::experiment::{Fidelity, FidelityTier};
 use crate::measure::Measurement;
 use crate::system::{FabricKind, SystemConfig};
 
@@ -658,9 +658,8 @@ impl Default for EscalationPolicy {
 }
 
 /// Decides which points of an analytically-swept grid deserve cycle
-/// accuracy: knees, collapses, and envelope-untrusted families. Shared
-/// by [`crate::batch::run_grid_adaptive`] and the serve scheduler so
-/// both escalate identically.
+/// accuracy: knees, collapses, and envelope-untrusted families. Its
+/// caller is [`adaptive_plan`].
 ///
 /// The knee detector compares adjacent points, so it only fires within
 /// a contiguous stripe of one scenario family — same fabric class, same
@@ -701,6 +700,20 @@ pub fn escalation_mask(
         }
     }
     mask
+}
+
+/// The adaptive plan of a grid (DESIGN.md §3.9), the one both
+/// [`crate::batch::run_grid_adaptive`] and serve admission follow: every
+/// point predicted at `fid`'s windows under the active calibration, in
+/// grid order, and the mask of points the default
+/// [`EscalationPolicy`] escalates to cycle accuracy.
+pub fn adaptive_plan(points: &[GridPoint], fid: Fidelity) -> (Vec<Measurement>, Vec<bool>) {
+    let cal = Calibration::active();
+    let fid = Fidelity { tier: FidelityTier::Analytical, ..fid };
+    let rows: Vec<Measurement> =
+        points.iter().map(|(cfg, wl)| predict(cfg, wl, fid, cal)).collect();
+    let mask = escalation_mask(points, &rows, cal, &EscalationPolicy::default());
+    (rows, mask)
 }
 
 // ------------------------------------------------------------ xvalidate

@@ -284,24 +284,20 @@ pub fn record_adaptive_grid(analytical: usize, escalated: usize) {
     m.points_escalated.add(escalated as u64);
 }
 
-/// Multi-fidelity adaptive sweep (DESIGN.md §3.9): evaluates the whole
-/// grid through the calibrated analytical model first, asks
-/// [`crate::analytic::escalation_mask`] which points deserve cycle
-/// accuracy (knees, bandwidth collapses, envelope-untrusted families),
-/// and re-measures exactly those through the ordinary cycle path of
-/// [`run_grid`] — so an escalated row is **byte-identical** to what a
-/// direct cycle sweep of that point returns (same code path, same cache
-/// fingerprint). `fid` gives the cycle windows escalations run at.
+/// Multi-fidelity adaptive sweep (DESIGN.md §3.9): follows
+/// [`crate::analytic::adaptive_plan`], which predicts the whole grid
+/// through the calibrated analytical model and marks the points that
+/// deserve cycle accuracy (knees, bandwidth collapses, envelope-untrusted
+/// families), and re-measures exactly those through the ordinary cycle
+/// path of [`run_grid`] — so an escalated row is **byte-identical** to
+/// what a direct cycle sweep of that point returns (same code path, same
+/// cache fingerprint). `fid` gives the cycle windows escalations run at.
 pub fn run_grid_adaptive(
     points: &[GridPoint],
     fid: Fidelity,
     threads: usize,
 ) -> (Vec<Measurement>, AdaptiveReport) {
-    use crate::analytic::{escalation_mask, Calibration, EscalationPolicy};
-    let analytical = Fidelity { tier: crate::experiment::FidelityTier::Analytical, ..fid };
-    let mut rows = run_grid_fid(points, analytical, threads);
-    let cal = Calibration::active();
-    let mask = escalation_mask(points, &rows, cal, &EscalationPolicy::default());
+    let (mut rows, mask) = crate::analytic::adaptive_plan(points, fid);
     let escalate: Vec<usize> = (0..points.len()).filter(|&i| mask[i]).collect();
     let subgrid: Vec<GridPoint> = escalate.iter().map(|&i| points[i].clone()).collect();
     let cycle_rows = run_grid(&subgrid, fid.warmup, fid.cycles, threads);

@@ -513,8 +513,9 @@ impl ResultCache {
 
     /// The counted lookup [`measure_cached`] starts with, on its own:
     /// the cached row of a point, if any. `None` for a disabled cache
-    /// and for an analytical fidelity, which is never cached. The serve
-    /// scheduler deposits such a hit at claim time, with no worker.
+    /// and for an analytical fidelity, which is never cached. Serve
+    /// admission deposits such a hit when its job is admitted, with no
+    /// worker.
     ///
     /// [`measure_cached`]: ResultCache::measure_cached
     pub fn cached(

@@ -12,23 +12,27 @@
 //!
 //! The scheduler provides what a shared sweep box actually needs:
 //!
+//! * **One admission pass** — a submission answers every row that needs
+//!   no simulation before its job is queued: analytical-fidelity points,
+//!   the points an adaptive job's plan does not escalate, and points the
+//!   cache already holds. Only the rest wait for a worker.
 //! * **Admission control / backpressure** — a bounded queue of pending
 //!   points; overflowing submissions are rejected immediately with a
-//!   [`Rejection`] carrying `retry_after_ms`.
+//!   [`Rejection`] carrying `retry_after_ms` ([`RETRY_AFTER_MS`]).
 //! * **Fair-share interleaving** — round-robin *per point* across jobs
 //!   of equal priority, strict priority between levels, so a huge grid
 //!   never head-of-line-blocks a small one.
 //! * **Per-job priorities, cancellation, per-point timeouts** — undone
 //!   points of a cancelled job come back as [`RowStatus::Cancelled`]
-//!   rows; a point past its budget comes back [`RowStatus::TimedOut`];
+//!   rows; a point past its budget comes back [`RowStatus::TimedOut`]
+//!   at the deadline, and holds its worker until its simulation ends;
 //!   a panicking point comes back [`RowStatus::Failed`] without taking
 //!   the worker down.
-//! * **One evaluation path** — workers evaluate every point through
-//!   [`ResultCache::measure_cached`], as batch grids do. A point the
-//!   cache holds is deposited at claim time without a worker; identical
-//!   points in flight share one simulation through the cache's
-//!   single-flight; analytical points are predicted, never cached. The
-//!   `stats` verb's `cache_*` fields are the cache's own counters.
+//! * **One evaluation path** — workers evaluate every dispatched point
+//!   through [`ResultCache::measure_cached`], as batch grids do;
+//!   identical points in flight share one simulation through the
+//!   cache's single-flight. The `stats` verb's `cache_*` fields are the
+//!   cache's own counters.
 //! * **Observability** — queue-wait / run / stream latency histograms
 //!   (power-of-two buckets, same design as `hbm_axi::instrument::Hist`),
 //!   worker utilisation, and depth gauges, exported as a JSON
@@ -76,4 +80,4 @@ pub use hbm_core::cache::{CacheSnapshot, ResultCache};
 pub use job::{Event, JobId, JobSpec, JobState, JobStatus, Rejection, RowResult, RowStatus};
 pub use scheduler::{ServeConfig, ServeHandle, Server};
 pub use stats::{DepthGauges, HistSummary, JobSpan, ServeStats, StatsSnapshot};
-pub use wire::{Client, WireServer, RETRY_CAP_MS, RETRY_FLOOR_MS};
+pub use wire::{Client, WireServer, RETRY_AFTER_MS, RETRY_CAP_MS, RETRY_FLOOR_MS};

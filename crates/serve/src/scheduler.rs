@@ -1,24 +1,37 @@
-//! The serving scheduler: a bounded admission queue feeding a shared
-//! worker pool, with fair-share interleaving across jobs.
+//! The serving scheduler: an admission pass that answers every row
+//! needing no simulation, then a bounded queue of the rest feeding a
+//! shared worker pool, with fair-share interleaving across jobs.
+//!
+//! ## Admission
+//!
+//! [`ServeHandle::submit`] is the only place a served row can skip a
+//! worker. Before a job enters the rotation, the submitting thread
+//! deposits, outside the scheduler lock, every point of an
+//! analytical-fidelity job (predicted, never cached), every point the
+//! adaptive plan of an adaptive job does not escalate
+//! ([`analytic::adaptive_plan`], the plan `batch` follows too), and
+//! every other point the attached cache already holds
+//! ([`ResultCache::cached`], a counted hit). Only the remaining grid
+//! indices are queued as the job's pending points; they alone count
+//! against [`ServeConfig::queue_capacity`].
+//!
+//! A submission is rejected *immediately* with a [`Rejection`] carrying
+//! [`RETRY_AFTER_MS`] when the pool is shutting down or the raw grid
+//! would not fit beside the queued points — checked before any lookup
+//! or model work, so no grid bypasses the bound — and again, under the
+//! lock, if its pending points no longer fit. The client backs off and
+//! retries; nothing blocks and nothing is silently dropped.
 //!
 //! ## Scheduling discipline
 //!
 //! Work is dispatched **point by point**, never job by job: the ready
 //! set is a round-robin queue of jobs per priority level, and a worker
-//! claims exactly one grid point from the front job before that job goes
-//! to the back of its level. A 1 000-point grid therefore cannot
+//! claims exactly one pending point from the front job before that job
+//! goes to the back of its level. A 1 000-point grid therefore cannot
 //! head-of-line-block a 3-point grid submitted a moment later — at equal
 //! priority they alternate points; at different priorities the higher
 //! level drains first (strict priority between levels, round-robin
-//! within one).
-//!
-//! ## Admission control and backpressure
-//!
-//! The queue of undispatched points is bounded
-//! ([`ServeConfig::queue_capacity`]). A submission that would overflow
-//! it is rejected *immediately* with a [`Rejection`] carrying
-//! `retry_after_ms` — the client backs off and retries; nothing blocks
-//! and nothing is silently dropped.
+//! within one). A claim only pops: no lookup, no deposit.
 //!
 //! ## Determinism
 //!
@@ -36,57 +49,56 @@
 //! Every point is evaluated one way, through
 //! [`ResultCache::measure_cached`] on the attached cache
 //! ([`ServeConfig::cache`], defaulting to the process-wide cache — which
-//! is disabled unless `--cache-dir`/`HBM_CACHE_DIR` turned it on):
+//! is disabled unless `--cache-dir`/`HBM_CACHE_DIR` turned it on). A
+//! dispatched point's worker calls it; an identical point already
+//! simulating is found in the cache's single-flight, and the worker
+//! waits for that row instead of simulating twice. The cache's own
+//! counters are the only hit/miss/coalesced counters; the `stats` reply
+//! repeats them. A hit or a coalesced row is byte-identical to a fresh
+//! run. The dispatch log records every point that went to a worker,
+//! waiting ones included, so one simulation per point is proven by the
+//! cache's `misses`, not by the log.
 //!
-//! * **claim** — a point whose row the cache already holds
-//!   ([`ResultCache::cached`]) is deposited inline: no dispatch, no
-//!   worker;
-//! * **worker** — every other point is dispatched, and its worker calls
-//!   `measure_cached`. An identical point already simulating is found in
-//!   the cache's single-flight: the worker waits for that row instead of
-//!   simulating twice. Analytical fidelities are predicted there, and
-//!   never cached.
+//! Consequences, all deliberate:
 //!
-//! The cache's own counters are the only hit/miss/coalesced counters;
-//! the `stats` reply repeats them. Determinism makes all of this
-//! invisible in the output: a hit or a coalesced row is byte-identical
-//! to a fresh run. Fair-share accounting is unchanged, because claims
-//! still rotate jobs point by point. The dispatch log records every
-//! point that went to a worker, waiting ones included, so one
-//! simulation per point is proven by the cache's `misses`, not by the
-//! log.
-//!
-//! Two consequences are deliberate:
-//!
+//! * **Hits are counted at admission.** A point that lands in the cache
+//!   after its job was admitted goes to a worker, whose `measure_cached`
+//!   answers it as a hit; it appears in the dispatch log, `queue_wait_us`
+//!   and `run_us`. Analytical-fidelity jobs are never dispatched, and
+//!   `queue_wait_us` samples dispatched points only.
+//! * **Lookups cost the submitter.** They run on the submitting thread:
+//!   with the cache enabled, a submit reply waits for one fingerprint
+//!   and lookup per cycle-tier point, about 7 µs each on a 2-vCPU Xeon
+//!   host (28 ms for a 4 096-point grid).
 //! * **Waiting costs a worker.** A point whose twin is in flight waits
-//!   on its worker, inside the cache's flight. Identical grids submitted
-//!   together still simulate each point once, but the waiting worker
-//!   does no other work meanwhile and counts as busy in
+//!   on its worker, inside the cache's flight, and counts as busy in
 //!   `worker_utilisation` and `run_us`.
-//! * **Budgets do not split flights.** Only a `Done` row is ever shared,
-//!   whatever the budget of the job that asked for it. A budget bounds
-//!   how long a job waits, not the simulation: a timed-out point's
-//!   helper thread finishes in the background and its row lands in the
-//!   cache. A point that panics aborts its flight and each waiting
-//!   point retries it, so a deterministic panic costs one run per
-//!   waiting point.
+//! * **A budget bounds the wait, not the simulation.** Only a `Done` row
+//!   is ever shared, whatever the budget of the job that asked for it.
+//!   A timed-out point's row is delivered at the deadline, but the point
+//!   holds its worker until its simulation ends (and its row lands in
+//!   the cache), so `workers` bounds the simulations running at once. A
+//!   point that panics aborts its flight and each waiting point retries
+//!   it, so a deterministic panic costs one run per waiting point.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hbm_core::analytic;
 use hbm_core::batch::{self, panic_message, GridPoint};
 use hbm_core::cache::ResultCache;
-use hbm_core::experiment::{Fidelity, FidelityTier};
+use hbm_core::experiment::Fidelity;
 use hbm_core::metrics::{self, Registry};
 use hbm_core::Measurement;
 
 use crate::job::{Event, JobId, JobSpec, JobState, JobStatus, Rejection, RowResult, RowStatus};
 use crate::stats::{DepthGauges, JobSpan, ServeStats, StatsSnapshot, SPAN_LOG_CAP};
+use crate::wire::RETRY_AFTER_MS;
 
 /// Serving-pool parameters.
 #[derive(Debug, Clone)]
@@ -96,16 +108,11 @@ pub struct ServeConfig {
     /// Maximum undispatched points across all admitted jobs; submissions
     /// that would exceed it are rejected with a retry-after.
     pub queue_capacity: usize,
-    /// Back-off hint attached to rejections, in milliseconds.
-    pub retry_after_ms: u64,
-    /// Start with dispatch paused (tests use this to stage a precise
-    /// queue picture before any worker claims a point).
-    pub paused: bool,
-    /// Result cache consulted at claim time and evaluated through by
-    /// the workers; `None` uses the
-    /// process-wide [`ResultCache::global`] (disabled by default, so the
-    /// scheduler re-simulates every point unless caching was turned on).
-    /// Tests attach local instances to avoid cross-test state.
+    /// Result cache consulted at admission and evaluated through by the
+    /// workers; `None` uses the process-wide [`ResultCache::global`]
+    /// (disabled by default, so the scheduler re-simulates every point
+    /// unless caching was turned on). Tests attach local instances to
+    /// avoid cross-test state.
     pub cache: Option<ResultCache>,
     /// Append one JSONL [`JobSpan`] line per finished job to this file
     /// (the durable counterpart of the bounded in-memory span ring the
@@ -118,8 +125,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: batch::sweep_jobs(),
             queue_capacity: 4_096,
-            retry_after_ms: 50,
-            paused: false,
             cache: None,
             span_log: None,
         }
@@ -130,19 +135,16 @@ impl Default for ServeConfig {
 struct JobEntry {
     spec: JobSpec,
     state: JobState,
-    /// Next undispatched point index (== `spec.points.len()` when fully
-    /// dispatched or cancelled).
-    next_point: usize,
+    /// Grid indices waiting for a worker, in grid order: the points
+    /// admission could not answer. Claims pop them; cancellation drains
+    /// them.
+    pending: VecDeque<usize>,
     /// Points currently on a worker.
     running: usize,
     done: usize,
     failed: usize,
     timed_out: usize,
     cancelled_points: usize,
-    /// Adaptive jobs only: `prefilled[i]` marks a point whose row was
-    /// deposited analytically at admission — the claim loop skips it and
-    /// cancellation must not emit a second row for it.
-    prefilled: Option<Vec<bool>>,
     /// Completed rows in completion order, with their completion
     /// instant, kept for late-subscriber replay until the job's span
     /// leaves the span ring (see `State::record_span`).
@@ -166,16 +168,6 @@ impl JobEntry {
     /// flight; only then is the `End` event emitted.
     fn is_finished(&self) -> bool {
         self.rows() == self.total() && self.running == 0
-    }
-
-    /// Advances `next_point` past points whose rows were deposited
-    /// analytically at admission (adaptive jobs; no-op otherwise).
-    fn skip_prefilled(&mut self) {
-        if let Some(pre) = &self.prefilled {
-            while self.next_point < self.total() && pre[self.next_point] {
-                self.next_point += 1;
-            }
-        }
     }
 
     fn status(&self, id: u64, now: Instant) -> JobStatus {
@@ -249,52 +241,34 @@ impl State {
         }
     }
 
-    /// Claims the next point that actually needs a worker. Points the
-    /// cache holds are deposited inline without leaving the lock, and
-    /// claiming continues until real work (or nothing) is found.
-    /// Returns the work description plus whether any rows were deposited
-    /// inline (the caller then wakes progress waiters).
-    fn claim(&mut self, cache: &ResultCache) -> (Option<Claimed>, bool) {
-        let mut deposited = false;
-        loop {
-            let Some((prio, id)) = self.pick_ready() else {
-                return (None, deposited);
-            };
-            let entry = self.jobs.get_mut(&id).expect("ready job must exist");
-            entry.skip_prefilled();
-            if entry.state == JobState::Cancelled || entry.next_point >= entry.total() {
-                // Stale queue entry (job was cancelled); drop it.
-                continue;
-            }
-            let index = entry.next_point;
-            entry.next_point += 1;
-            entry.skip_prefilled();
-            entry.state = JobState::Running;
-            let now = Instant::now();
-            entry.first_dispatch.get_or_insert(now);
-            let wait_us = (now - entry.submitted_at).as_micros() as u64;
-            let point = entry.spec.points[index].clone();
-            let fidelity = entry.spec.fidelity;
-            let timeout_ms = entry.spec.timeout_ms;
-            if entry.next_point < entry.total() {
-                self.ready.entry(prio).or_default().push_back(id);
-            }
-            self.queued_points -= 1;
-            self.stats.queue_wait_us.record(wait_us);
-
-            if let Some(m) = cache.cached(&point.0, &point.1, fidelity) {
-                // Answered from the cache: the row is deposited here and
-                // now; no worker ever sees the point.
-                self.deposit_row(id, index, RowStatus::Done, Some((*m).clone()), now);
-                deposited = true;
-                continue;
-            }
-            let entry = self.jobs.get_mut(&id).expect("claimed job exists");
-            entry.running += 1;
-            self.running_points += 1;
-            self.stats.log_dispatch(id, index);
-            return (Some(Claimed { job: id, index, point, fidelity, timeout_ms }), deposited);
+    /// Pops the next pending point under the fairness discipline and
+    /// puts it on a worker. A ready job always has a pending point:
+    /// admission and claims queue a job only then, and cancellation
+    /// takes it out of the rotation.
+    fn claim(&mut self) -> Option<Claimed> {
+        let (prio, id) = self.pick_ready()?;
+        let entry = self.jobs.get_mut(&id).expect("ready job must exist");
+        let index = entry.pending.pop_front().expect("a ready job has a pending point");
+        entry.state = JobState::Running;
+        entry.running += 1;
+        let now = Instant::now();
+        entry.first_dispatch.get_or_insert(now);
+        let wait_us = (now - entry.submitted_at).as_micros() as u64;
+        let claimed = Claimed {
+            job: id,
+            index,
+            point: entry.spec.points[index].clone(),
+            fidelity: entry.spec.fidelity,
+            timeout_ms: entry.spec.timeout_ms,
+        };
+        if !entry.pending.is_empty() {
+            self.ready.entry(prio).or_default().push_back(id);
         }
+        self.queued_points -= 1;
+        self.running_points += 1;
+        self.stats.queue_wait_us.record(wait_us);
+        self.stats.log_dispatch(id, index);
+        Some(claimed)
     }
 
     /// Deposits one completed row into its job: counters, broadcast,
@@ -404,15 +378,11 @@ impl State {
         }
     }
 
-    /// Emits `Cancelled` rows for every undispatched point of `entry`
-    /// and removes them from the admission queue level.
+    /// Emits `Cancelled` rows for every pending point of `id` and
+    /// removes the job from its ready level.
     fn cancel_pending(&mut self, id: u64) {
         let entry = self.jobs.get_mut(&id).expect("cancelling a known job");
-        // Prefilled points already carry analytical rows (and never
-        // occupied queue slots): only genuinely pending points cancel.
-        let pending: Vec<usize> = (entry.next_point..entry.total())
-            .filter(|&i| entry.prefilled.as_ref().is_none_or(|p| !p[i]))
-            .collect();
+        let pending = std::mem::take(&mut entry.pending);
         self.queued_points -= pending.len();
         let now = Instant::now();
         for index in pending {
@@ -427,7 +397,6 @@ impl State {
             entry.cancelled_points += 1;
             self.stats.rows_cancelled.inc();
         }
-        entry.next_point = entry.total();
         entry.state = JobState::Cancelled;
         let finished = entry.is_finished();
         if finished {
@@ -463,8 +432,8 @@ struct Shared {
     /// Waiters (status polls, `wait`) park here for any progress.
     progress: Condvar,
     workers: usize,
-    /// The result cache claims and workers evaluate through (possibly
-    /// disabled).
+    /// The result cache admission consults and workers evaluate through
+    /// (possibly disabled).
     cache: ResultCache,
 }
 
@@ -473,7 +442,6 @@ struct Shared {
 #[derive(Clone)]
 pub struct ServeHandle {
     shared: Arc<Shared>,
-    retry_after_ms: u64,
     queue_capacity: usize,
 }
 
@@ -513,7 +481,7 @@ impl Server {
                 ready: BTreeMap::new(),
                 queued_points: 0,
                 running_points: 0,
-                paused: cfg.paused,
+                paused: false,
                 shutdown: false,
                 stats: ServeStats::new(),
                 spans: VecDeque::new(),
@@ -525,11 +493,7 @@ impl Server {
             cache,
         });
         register_depth_gauges(Registry::global(), &shared);
-        let handle = ServeHandle {
-            shared: shared.clone(),
-            retry_after_ms: cfg.retry_after_ms,
-            queue_capacity: cfg.queue_capacity,
-        };
+        let handle = ServeHandle { shared: shared.clone(), queue_capacity: cfg.queue_capacity };
         let threads = (0..workers)
             .map(|w| {
                 let shared = shared.clone();
@@ -559,69 +523,28 @@ impl Server {
 
 impl ServeHandle {
     /// Admits `spec` or rejects it with a retry-after when the pending
-    /// queue cannot take the grid. An admitted job's points enter the
-    /// fair-share rotation immediately.
+    /// queue cannot take the grid. Admission deposits every row that
+    /// needs no simulation (see the module doc); the job's other points
+    /// enter the fair-share rotation.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, Rejection> {
-        let wants_adaptive =
-            spec.adaptive && !spec.fidelity.is_analytical() && !spec.points.is_empty();
-        // Adaptive prep runs the whole grid through the analytical model
-        // synchronously on the submitting thread, so admission is
-        // checked *before* any model evaluation, against the raw grid
-        // size: a shutting-down pool or a grid the queue could not hold
-        // even if nothing escalated is rejected without paying the
-        // sweep, and an adaptive grid cannot bypass the capacity bound
-        // just because only its escalated points occupy queue slots.
-        if wants_adaptive {
-            let st = self.shared.state.lock().unwrap();
-            if st.shutdown || st.queued_points + spec.points.len() > self.queue_capacity {
-                st.stats.jobs_rejected.inc();
-                return Err(Rejection { retry_after_ms: self.retry_after_ms });
-            }
-        }
-        // Adaptive multi-fidelity prep happens before admission: the
-        // whole grid runs through the calibrated analytical model
-        // (microseconds per point), and only the escalated points —
-        // knees, collapses, envelope-untrusted families — consume queue
-        // capacity and workers; the rest deposit their rows the moment
-        // the job is admitted.
-        let adaptive = wants_adaptive.then(|| {
-            let fid = Fidelity { tier: FidelityTier::Analytical, ..spec.fidelity };
-            let rows: Vec<Measurement> = spec
-                .points
-                .iter()
-                .map(|(cfg, wl)| self.shared.cache.measure_cached(cfg, wl, fid))
-                .collect();
-            let mask = analytic::escalation_mask(
-                &spec.points,
-                &rows,
-                analytic::Calibration::active(),
-                &analytic::EscalationPolicy::default(),
-            );
-            (rows, mask)
-        });
-        let queued_cost = match &adaptive {
-            Some((_, mask)) => mask.iter().filter(|&&escalate| escalate).count(),
-            None => spec.points.len(),
-        };
+        // The raw grid is checked before any lookup or model work, so a
+        // shutting-down pool or a grid that cannot fit beside the queued
+        // points costs nothing to reject.
+        self.admit(&self.shared.state.lock().unwrap(), spec.points.len())?;
+        let (answered, pending, escalated) = admission_rows(&self.shared.cache, &spec);
         let mut st = self.shared.state.lock().unwrap();
-        if st.shutdown || st.queued_points + queued_cost > self.queue_capacity {
-            st.stats.jobs_rejected.inc();
-            return Err(Rejection { retry_after_ms: self.retry_after_ms });
-        }
+        self.admit(&st, pending.len())?;
         st.next_job += 1;
         let id = st.next_job;
         let mut entry = JobEntry {
             spec,
             state: JobState::Queued,
-            next_point: 0,
+            pending,
             running: 0,
             done: 0,
             failed: 0,
             timed_out: 0,
             cancelled_points: 0,
-            prefilled: adaptive
-                .as_ref()
-                .map(|(_, mask)| mask.iter().map(|&escalate| !escalate).collect()),
             log: Vec::new(),
             subscribers: Vec::new(),
             submitted_at: Instant::now(),
@@ -638,28 +561,33 @@ impl ServeHandle {
             st.jobs.insert(id, entry);
             st.record_span(id);
         } else {
-            let prio = entry.spec.priority;
-            st.queued_points += queued_cost;
-            st.jobs.insert(id, entry);
-            if let Some((rows, mask)) = adaptive {
-                batch::record_adaptive_grid(n - queued_cost, queued_cost);
-                let now = Instant::now();
-                for (index, (row, &escalate)) in rows.into_iter().zip(&mask).enumerate() {
-                    if !escalate {
-                        st.deposit_row(id, index, RowStatus::Done, Some(row), now);
-                    }
-                }
+            st.queued_points += entry.pending.len();
+            if !entry.pending.is_empty() {
+                st.ready.entry(entry.spec.priority).or_default().push_back(id);
             }
-            // A fully-analytical grid is already terminal; anything
-            // else enters the fair-share rotation.
-            if !st.jobs[&id].is_finished() {
-                st.ready.entry(prio).or_default().push_back(id);
+            st.jobs.insert(id, entry);
+            if let Some(escalated) = escalated {
+                batch::record_adaptive_grid(n - escalated, escalated);
+            }
+            let now = Instant::now();
+            for (index, m) in answered {
+                st.deposit_row(id, index, RowStatus::Done, Some(m), now);
             }
         }
         drop(st);
         self.shared.work.notify_all();
         self.shared.progress.notify_all();
         Ok(JobId(id))
+    }
+
+    /// The admission check: a pool that is shutting down, or whose queue
+    /// cannot take `points` more, rejects (and counts the rejection).
+    fn admit(&self, st: &State, points: usize) -> Result<(), Rejection> {
+        if st.shutdown || st.queued_points + points > self.queue_capacity {
+            st.stats.jobs_rejected.inc();
+            return Err(Rejection { retry_after_ms: RETRY_AFTER_MS });
+        }
+        Ok(())
     }
 
     /// Subscribes to a job's event stream. Rows already produced are
@@ -737,6 +665,8 @@ impl ServeHandle {
     }
 
     /// Pauses dispatch: running points finish, queued points stay put.
+    /// Called right after [`Server::spawn`], before the first submit, it
+    /// stages a queue no worker has claimed from.
     pub fn pause(&self) {
         self.shared.state.lock().unwrap().paused = true;
     }
@@ -827,6 +757,36 @@ fn register_depth_gauges(reg: &Registry, shared: &Arc<Shared>) {
     });
 }
 
+/// Answers, on the submitting thread and outside the scheduler lock,
+/// every row of `spec` that needs no simulation. Returns those rows with
+/// their grid indices, the indices left for the workers in grid order,
+/// and for an adaptive job the number of points its plan escalated.
+fn admission_rows(
+    cache: &ResultCache,
+    spec: &JobSpec,
+) -> (Vec<(usize, Measurement)>, VecDeque<usize>, Option<usize>) {
+    let fid = spec.fidelity;
+    let plan =
+        (spec.adaptive && !fid.is_analytical()).then(|| analytic::adaptive_plan(&spec.points, fid));
+    let escalated = plan.as_ref().map(|(_, mask)| mask.iter().filter(|&&e| e).count());
+    let mut plan = plan.map(|(rows, mask)| rows.into_iter().zip(mask));
+    let (mut answered, mut pending) = (Vec::new(), VecDeque::new());
+    for (index, (cfg, wl)) in spec.points.iter().enumerate() {
+        let row = match plan.as_mut().and_then(Iterator::next) {
+            Some((predicted, false)) => Some(predicted),
+            // An analytical row is predicted (never cached); any other
+            // is answered only by a cache hit.
+            _ if fid.is_analytical() => Some(cache.measure_cached(cfg, wl, fid)),
+            _ => cache.cached(cfg, wl, fid).map(|m| (*m).clone()),
+        };
+        match row {
+            Some(m) => answered.push((index, m)),
+            None => pending.push_back(index),
+        }
+    }
+    (answered, pending, escalated)
+}
+
 fn worker_loop(shared: &Shared) {
     loop {
         let claimed = {
@@ -836,13 +796,7 @@ fn worker_loop(shared: &Shared) {
                     return;
                 }
                 if !st.paused {
-                    let (c, deposited) = st.claim(&shared.cache);
-                    if deposited {
-                        // Inline cache hits completed rows (possibly
-                        // whole jobs) without a worker: wake `wait`ers.
-                        shared.progress.notify_all();
-                    }
-                    if let Some(c) = c {
+                    if let Some(c) = st.claim() {
                         break c;
                     }
                 }
@@ -851,35 +805,46 @@ fn worker_loop(shared: &Shared) {
         };
         let t0 = Instant::now();
         let (job, index) = (claimed.job, claimed.index);
-        let (status, measurement) = run_point(&shared.cache, claimed);
+        let (status, measurement, helper) = run_point(&shared.cache, claimed);
         let run = t0.elapsed();
 
         let mut st = shared.state.lock().unwrap();
         st.running_points -= 1;
         st.stats.run_us.record(run.as_micros() as u64);
-        st.stats.busy_ns.add(run.as_nanos() as u64);
         st.jobs.get_mut(&job).expect("job of a running point exists").running -= 1;
         st.deposit_row(job, index, status, measurement, Instant::now());
+        let busy_ns = st.stats.busy_ns.clone();
         drop(st);
         shared.progress.notify_all();
+        // The helper is joined before the next claim: a timed-out point
+        // holds its worker until its simulation ends, so `workers`
+        // bounds the simulations running at once.
+        if let Some(helper) = helper {
+            let _ = helper.join();
+        }
+        busy_ns.add(t0.elapsed().as_nanos() as u64);
     }
 }
 
 /// Evaluates one claimed point through [`ResultCache::measure_cached`],
 /// containing panics and enforcing the wall-clock budget. With a budget
 /// the evaluation runs on a helper thread holding its own clone of the
-/// cache, abandoned past the deadline: a simulation cannot be
-/// interrupted midway, so the helper finishes in the background and its
+/// cache, so the row can be `TimedOut` at the deadline; the helper's
+/// handle comes back with the row for the worker to join. A simulation
+/// cannot be interrupted midway, so a timed-out helper runs on, and its
 /// row still lands in the cache.
-fn run_point(cache: &ResultCache, c: Claimed) -> (RowStatus, Option<Measurement>) {
+fn run_point(
+    cache: &ResultCache,
+    c: Claimed,
+) -> (RowStatus, Option<Measurement>, Option<JoinHandle<()>>) {
     let Claimed { point: (cfg, wl), fidelity, timeout_ms, .. } = c;
     let evaluate = move |cache: &ResultCache| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.measure_cached(&cfg, &wl, fidelity)
         }))
     };
-    let outcome = match timeout_ms {
-        None => evaluate(cache),
+    let (outcome, helper) = match timeout_ms {
+        None => (Some(evaluate(cache)), None),
         Some(ms) => {
             let (tx, rx) = std::sync::mpsc::channel();
             let cache = cache.clone();
@@ -887,28 +852,26 @@ fn run_point(cache: &ResultCache, c: Claimed) -> (RowStatus, Option<Measurement>
                 std::thread::Builder::new().name("hbm-serve-timeout".into()).spawn(move || {
                     let _ = tx.send(evaluate(&cache));
                 });
-            if spawned.is_err() {
-                return (
-                    RowStatus::Failed { error: "could not spawn timeout helper".into() },
-                    None,
-                );
-            }
-            match rx.recv_timeout(Duration::from_millis(ms)) {
-                Ok(r) => r,
-                Err(_) => return (RowStatus::TimedOut, None),
-            }
+            let Ok(helper) = spawned else {
+                let error = "could not spawn timeout helper".into();
+                return (RowStatus::Failed { error }, None, None);
+            };
+            (rx.recv_timeout(Duration::from_millis(ms)).ok(), Some(helper))
         }
     };
-    match outcome {
-        Ok(m) => (RowStatus::Done, Some(m)),
-        Err(p) => (RowStatus::Failed { error: panic_message(&p) }, None),
-    }
+    let (status, measurement) = match outcome {
+        None => (RowStatus::TimedOut, None),
+        Some(Ok(m)) => (RowStatus::Done, Some(m)),
+        Some(Err(p)) => (RowStatus::Failed { error: panic_message(&p) }, None),
+    };
+    (status, measurement, helper)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbm_core::batch::run_grid;
+    use hbm_core::experiment::FidelityTier;
     use hbm_core::SystemConfig;
     use hbm_traffic::Workload;
 
@@ -962,9 +925,9 @@ mod tests {
 
     #[test]
     fn equal_priority_jobs_interleave_point_by_point() {
-        let server =
-            Server::spawn(ServeConfig { workers: 1, paused: true, ..ServeConfig::default() });
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
         let h = server.handle();
+        h.pause();
         let a = h.submit(spec("a", 3)).unwrap();
         let b = h.submit(spec("b", 3)).unwrap();
         h.resume();
@@ -978,9 +941,9 @@ mod tests {
 
     #[test]
     fn higher_priority_job_drains_first() {
-        let server =
-            Server::spawn(ServeConfig { workers: 1, paused: true, ..ServeConfig::default() });
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
         let h = server.handle();
+        h.pause();
         let low = h.submit(spec("low", 2)).unwrap();
         let high = h.submit(spec("high", 2).with_priority(9)).unwrap();
         h.resume();
@@ -993,26 +956,22 @@ mod tests {
 
     #[test]
     fn queue_full_submission_is_rejected_with_retry_after() {
-        let server = Server::spawn(ServeConfig {
-            workers: 1,
-            queue_capacity: 4,
-            retry_after_ms: 77,
-            paused: true,
-            ..ServeConfig::default()
-        });
+        let server =
+            Server::spawn(ServeConfig { workers: 1, queue_capacity: 4, ..ServeConfig::default() });
         let h = server.handle();
+        h.pause();
         h.submit(spec("fits", 4)).unwrap();
         let rej = h.submit(spec("overflow", 1)).unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: 77 });
+        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
         assert_eq!(h.stats().jobs_rejected, 1);
         server.shutdown();
     }
 
     #[test]
     fn cancellation_reports_pending_points_and_ends_stream() {
-        let server =
-            Server::spawn(ServeConfig { workers: 1, paused: true, ..ServeConfig::default() });
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
         let h = server.handle();
+        h.pause();
         let id = h.submit(spec("doomed", 4)).unwrap();
         let rx = h.subscribe(id).unwrap();
         assert!(h.cancel(id));
@@ -1069,9 +1028,9 @@ mod tests {
 
     #[test]
     fn shutdown_cancels_open_jobs_and_rejects_new_ones() {
-        let server =
-            Server::spawn(ServeConfig { workers: 1, paused: true, ..ServeConfig::default() });
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
         let h = server.handle();
+        h.pause();
         let id = h.submit(spec("orphan", 2)).unwrap();
         let rx = h.subscribe(id).unwrap();
         server.shutdown();
@@ -1086,11 +1045,11 @@ mod tests {
         let cache = ResultCache::new();
         let server = Server::spawn(ServeConfig {
             workers: 2,
-            paused: true,
             cache: Some(cache.clone()),
             ..ServeConfig::default()
         });
         let h = server.handle();
+        h.pause();
         // Two rival jobs over the *same* grid, queued before any worker
         // runs: every point exists twice in the queue.
         let a = h.submit(spec("a", 4)).unwrap();
@@ -1101,8 +1060,7 @@ mod tests {
 
         // The cache's misses prove single-flight: each of the 4 unique
         // points was simulated exactly once, despite 8 queued rows. A
-        // duplicate either hit at claim time or waited on its twin's
-        // flight on a worker.
+        // duplicate's worker either hit or waited on its twin's flight.
         let snap = h.stats();
         assert_eq!(snap.rows_done, 8, "all 8 rows streamed");
         assert_eq!(snap.cache_misses, 4, "4 unique points → 4 simulations: {snap:?}");
@@ -1183,11 +1141,11 @@ mod tests {
         let cache = ResultCache::new();
         let server = Server::spawn(ServeConfig {
             workers: 1,
-            paused: true,
             cache: Some(cache.clone()),
             ..ServeConfig::default()
         });
         let h = server.handle();
+        h.pause();
         let rushed = h.submit(spec("rushed", 1).with_timeout_ms(0)).unwrap();
         let patient = h.submit(spec("patient", 1)).unwrap();
         h.resume();
@@ -1214,11 +1172,11 @@ mod tests {
         let cache = ResultCache::new();
         let server = Server::spawn(ServeConfig {
             workers: 2,
-            paused: true,
             cache: Some(cache.clone()),
             ..ServeConfig::default()
         });
         let h = server.handle();
+        h.pause();
         // A miss and a rival on the same point (which waits on its
         // flight, or hits if the leader is already done), then two hits.
         let a = h.submit(spec("a", 1)).unwrap();
@@ -1238,25 +1196,21 @@ mod tests {
         assert_eq!(snap.cache, own);
         assert_eq!(own.misses, 1);
         assert_eq!(own.hits + own.coalesced, 3, "{own:?}");
-        assert!(own.hits >= 2, "the resubmitted points hit at claim time: {own:?}");
+        assert!(own.hits >= 2, "the resubmitted points hit at admission: {own:?}");
         server.shutdown();
     }
 
     #[test]
     fn adaptive_submit_is_admission_checked_before_analytical_prep() {
-        let server = Server::spawn(ServeConfig {
-            workers: 1,
-            queue_capacity: 4,
-            retry_after_ms: 9,
-            paused: true,
-            ..ServeConfig::default()
-        });
+        let server =
+            Server::spawn(ServeConfig { workers: 1, queue_capacity: 4, ..ServeConfig::default() });
         let h = server.handle();
+        h.pause();
         // A grid larger than the queue could ever hold is rejected up
         // front — adaptive escalation accounting is no way around the
         // capacity bound.
         let rej = h.submit(spec("too-big", 5).with_adaptive()).unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: 9 });
+        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
         assert_eq!(h.stats().jobs_rejected, 1);
         // A grid that fits outright is admitted as before.
         let id = h.submit(spec("fits", 4).with_adaptive()).unwrap();
@@ -1266,12 +1220,11 @@ mod tests {
 
         // A shut-down pool rejects adaptive submissions without running
         // the model sweep.
-        let server =
-            Server::spawn(ServeConfig { workers: 1, retry_after_ms: 9, ..ServeConfig::default() });
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
         let h = server.handle();
         server.shutdown();
         let rej = h.submit(spec("late", 2).with_adaptive()).unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: 9 });
+        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
     }
 
     #[test]
@@ -1368,6 +1321,114 @@ mod tests {
         assert_eq!(h.spans().len(), SPAN_LOG_CAP);
         assert_eq!(h.stats().jobs_completed, (SPAN_LOG_CAP + EXTRA) as u64);
         server.shutdown();
+    }
+
+    #[test]
+    fn analytical_jobs_are_answered_at_admission() {
+        // Paused: no worker may claim, yet the job ends inside `submit`.
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
+        let h = server.handle();
+        h.pause();
+        let points = tiny_points(3);
+        let fid = Fidelity::ANALYTICAL;
+        let id = h.submit(JobSpec::new("analytical", fid, points.clone())).unwrap();
+        assert_eq!(h.status(id).unwrap().state, JobState::Done);
+        assert!(h.dispatch_log().is_empty(), "{:?}", h.dispatch_log());
+        let (rows, _) = collect(h.subscribe(id).unwrap());
+        let cal = analytic::Calibration::active();
+        for (row, (cfg, wl)) in rows.iter().zip(&points) {
+            assert_eq!(
+                serde_json::to_string(row.measurement.as_ref().unwrap()).unwrap(),
+                serde_json::to_string(&analytic::predict(cfg, wl, fid, cal)).unwrap()
+            );
+        }
+        server.shutdown();
+    }
+
+    /// The adaptive plan of `points` at `FID`, checked to escalate some
+    /// points and answer others analytically.
+    fn mixed_plan(points: &[GridPoint]) -> (Vec<Measurement>, Vec<bool>) {
+        let (rows, mask) = analytic::adaptive_plan(points, FID);
+        assert!(mask.contains(&true) && mask.contains(&false), "mask {mask:?}");
+        (rows, mask)
+    }
+
+    #[test]
+    fn adaptive_job_with_cached_escalations_dispatches_nothing() {
+        let points = tiny_points(6);
+        let (predicted, mask) = mixed_plan(&points);
+        let escalated = mask.iter().filter(|&&escalate| escalate).count() as u64;
+        let cache = ResultCache::new();
+        for ((cfg, wl), _) in points.iter().zip(&mask).filter(|(_, &escalate)| escalate) {
+            cache.measure_cached(cfg, wl, FID);
+        }
+        let server = Server::spawn(ServeConfig {
+            workers: 1,
+            cache: Some(cache.clone()),
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        h.pause();
+        let id = h.submit(JobSpec::new("adaptive", FID, points.clone()).with_adaptive()).unwrap();
+        assert_eq!(h.status(id).unwrap().state, JobState::Done);
+        assert!(h.dispatch_log().is_empty(), "{:?}", h.dispatch_log());
+        let snap = cache.snapshot();
+        assert_eq!((snap.hits, snap.misses), (escalated, escalated), "{snap:?}");
+        let (rows, _) = collect(h.subscribe(id).unwrap());
+        let direct = run_grid(&points, FID.warmup, FID.cycles, 1);
+        for (i, row) in rows.iter().enumerate() {
+            let want = if mask[i] { &direct[i] } else { &predicted[i] };
+            assert_eq!(
+                serde_json::to_string(row.measurement.as_ref().unwrap()).unwrap(),
+                serde_json::to_string(want).unwrap(),
+                "row {i}, mask {mask:?}"
+            );
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn cancelling_an_adaptive_job_cancels_only_its_escalated_points() {
+        let points = tiny_points(6);
+        let (_, mask) = mixed_plan(&points);
+        let server = Server::spawn(ServeConfig {
+            workers: 1,
+            cache: Some(ResultCache::new()),
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        h.pause();
+        let id = h.submit(JobSpec::new("adaptive", FID, points.clone()).with_adaptive()).unwrap();
+        let rx = h.subscribe(id).unwrap();
+        assert!(h.cancel(id));
+        let (rows, state) = collect(rx);
+        assert_eq!(state, JobState::Cancelled);
+        let indices: Vec<usize> = rows.iter().map(|r| r.index).collect();
+        assert_eq!(indices, (0..points.len()).collect::<Vec<_>>(), "one row per point");
+        for (row, &escalate) in rows.iter().zip(&mask) {
+            let want = if escalate { RowStatus::Cancelled } else { RowStatus::Done };
+            assert_eq!(row.status, want, "row {}, mask {mask:?}", row.index);
+        }
+        assert_eq!(h.stats().depth.queued_points, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn timed_out_points_finish_before_their_worker_claims_again() {
+        let cache = ResultCache::new();
+        let server = Server::spawn(ServeConfig {
+            workers: 1,
+            cache: Some(cache.clone()),
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        let job = JobSpec::new("budget", Fidelity::QUICK, tiny_points(4)).with_timeout_ms(0);
+        let id = h.submit(job).unwrap();
+        assert_eq!(h.wait(id, WAIT), Some(JobState::Done));
+        server.shutdown();
+        // The worker joined each helper before claiming again, so every
+        // simulation ended, and cached its row, before `shutdown` returned.
+        assert_eq!(cache.snapshot().inserts, 4, "{:?}", cache.snapshot());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Latencies reuse the power-of-two-bucket histogram design of
 //! [`hbm_axi::instrument::Hist`] — recorded in microseconds: queue-wait
-//! (admission → dispatch, per point), run (dispatch → row, per point),
+//! (admission → dispatch, per dispatched point; rows answered at
+//! admission never wait), run (dispatch → row, per point),
 //! and stream (row completion → delivery to a subscriber; ≈0 for live
 //! streams, larger for late subscribers replaying the backlog).
 //!
@@ -32,7 +33,7 @@ pub const DISPATCH_LOG_CAP: usize = 4_096;
 pub struct ServeStats {
     /// Server start, the origin for utilisation and uptime.
     started: Instant,
-    /// Admission → dispatch, per point, in µs.
+    /// Admission → dispatch, per dispatched point, in µs.
     pub queue_wait_us: Arc<Histo>,
     /// Dispatch → deposited row, per point, in µs.
     pub run_us: Arc<Histo>,
@@ -298,7 +299,7 @@ pub struct StatsSnapshot {
     /// Cancelled points.
     pub rows_cancelled: u64,
     /// [`CacheSnapshot::hits`] of `cache`: lookups answered from memory,
-    /// at claim time or by a worker.
+    /// at admission or by a worker.
     pub cache_hits: u64,
     /// [`CacheSnapshot::misses`] of `cache`: lookups that led a
     /// simulation, one per point simulated.

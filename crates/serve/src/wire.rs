@@ -543,6 +543,10 @@ fn bad_reply(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// The back-off hint every queue-full [`Rejection`] carries, in
+/// milliseconds.
+pub const RETRY_AFTER_MS: u64 = 50;
+
 /// Minimum back-off between submit retries, even when the server hints
 /// `retry_after_ms: 0` — the floor that prevents a busy-spin.
 pub const RETRY_FLOOR_MS: u64 = 10;
@@ -623,26 +627,22 @@ mod tests {
 
     #[test]
     fn queue_full_rejection_reaches_the_client() {
-        let server = Server::spawn(ServeConfig {
-            workers: 1,
-            queue_capacity: 2,
-            retry_after_ms: 33,
-            paused: true,
-            ..ServeConfig::default()
-        });
+        let server =
+            Server::spawn(ServeConfig { workers: 1, queue_capacity: 2, ..ServeConfig::default() });
+        server.handle().pause();
         let wire = WireServer::bind("127.0.0.1:0", server.handle()).unwrap();
         let mut client = Client::connect(&wire.local_addr().to_string()).unwrap();
         client.submit(&spec("fits", 2)).unwrap().unwrap();
         let rej = client.submit(&spec("overflow", 1)).unwrap().unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: 33 });
+        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
         wire.stop();
         server.shutdown();
     }
 
     #[test]
     fn cancel_over_the_wire_ends_the_stream() {
-        let server =
-            Server::spawn(ServeConfig { workers: 1, paused: true, ..ServeConfig::default() });
+        let server = Server::spawn(ServeConfig { workers: 1, ..ServeConfig::default() });
+        server.handle().pause();
         let wire = WireServer::bind("127.0.0.1:0", server.handle()).unwrap();
         let addr = wire.local_addr().to_string();
         let mut submitter = Client::connect(&addr).unwrap();

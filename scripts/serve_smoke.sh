@@ -12,7 +12,10 @@
 #   3. Run the client's `--exercise` mode: deterministic queue-full
 #      rejection, cancellation of a running job, stats accounting.
 #   4. Poke raw NDJSON error paths over /dev/tcp.
-#   5. Shut the server down over the wire and check it exits.
+#   5. Run one more --quick client, whose 14 points are all cached by
+#      now: the `stats` verb must count 14 more cache hits and no more
+#      queue waits, because cached rows are answered at admission.
+#   6. Shut the server down over the wire and check it exits.
 #
 # Usage: scripts/serve_smoke.sh   (binaries must already be built:
 #        cargo build --release -p hbm-bench --bin repro
@@ -74,6 +77,27 @@ read -r REPLY <&3
 echo "$REPLY" | grep -q '"ok":false' || { echo "unexpected bad-request reply: $REPLY"; exit 1; }
 exec 3<&- 3>&-
 echo "   raw NDJSON verbs behave"
+
+echo "== a cached grid is answered at admission"
+read_stats() {
+  exec 3<>"/dev/tcp/127.0.0.1/${PORT}"
+  printf '{"verb":"stats"}\n' >&3
+  read -r REPLY <&3
+  exec 3<&- 3>&-
+  echo "$REPLY"
+}
+hits() { echo "$1" | grep -o '"cache_hits":[0-9]*' | cut -d: -f2; }
+waits() { echo "$1" | grep -o '"queue_wait_us":{"count":[0-9]*' | cut -d: -f3; }
+BEFORE=$(read_stats)
+"$CLIENT" "$ADDR" --quick > "$WORK/client_cached.json" 2> "$WORK/client_cached.err" \
+  || { cat "$WORK/client_cached.err"; echo "cached client failed"; exit 1; }
+diff -u "$WORK/direct.json" "$WORK/client_cached.json" || { echo "cached client diverged"; exit 1; }
+AFTER=$(read_stats)
+[ $(( $(hits "$AFTER") - $(hits "$BEFORE") )) -eq 14 ] \
+  || { echo "expected 14 more cache hits: $BEFORE -> $AFTER"; exit 1; }
+[ "$(waits "$AFTER")" = "$(waits "$BEFORE")" ] \
+  || { echo "cached points waited in the queue: $BEFORE -> $AFTER"; exit 1; }
+echo "   14 hits at admission, no point queued"
 
 echo "== shutdown over the wire"
 "$CLIENT" "$ADDR" --quick --shutdown > "$WORK/client_last.json"

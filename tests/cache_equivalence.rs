@@ -210,7 +210,7 @@ fn rows_cached_with_per_master_stats_still_hit() {
 
 /// Analytical points never touch the cache: an enabled cache returns
 /// the model's row byte for byte, and counts, stores and flushes
-/// nothing — neither through `measure_cached` nor through the claim-time
+/// nothing — neither through `measure_cached` nor through the admission
 /// lookup `cached`. The row therefore always reflects the active
 /// calibration, whatever was cached before.
 #[test]
@@ -279,7 +279,7 @@ fn truncated_segment_causes_recomputation_not_corruption() {
 
 /// Two rival serve jobs over the same grid share one flight per point:
 /// the cache's misses show each point simulated exactly once (the
-/// second taker hits at claim time or waits on the first one's flight),
+/// second taker's worker hits or waits on the first one's flight),
 /// both jobs get every row, and the rows are byte-identical to a direct
 /// uncached run.
 #[test]
@@ -297,11 +297,11 @@ fn rival_serve_jobs_never_double_simulate_a_point() {
     // every point genuinely has two takers.
     let server = Server::spawn(ServeConfig {
         workers: 2,
-        paused: true,
         cache: Some(ResultCache::new()),
         ..ServeConfig::default()
     });
     let handle = server.handle();
+    handle.pause();
     let a = handle.submit(JobSpec::new("rival-a", fid, grid.clone())).expect("admit a");
     let b = handle.submit(JobSpec::new("rival-b", fid, grid.clone())).expect("admit b");
     let (rx_a, rx_b) = (handle.subscribe(a).unwrap(), handle.subscribe(b).unwrap());

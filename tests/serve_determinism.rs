@@ -74,12 +74,9 @@ mod proptests {
             let points = grid(target_seed, target_len);
             let direct = run_grid(&points, FID.warmup, FID.cycles, 1);
 
-            let server = Server::spawn(ServeConfig {
-                workers,
-                paused: true,
-                ..ServeConfig::default()
-            });
+            let server = Server::spawn(ServeConfig { workers, ..ServeConfig::default() });
             let h = server.handle();
+            h.pause();
 
             let submit_rivals = |h: &hbm_fpga::serve::ServeHandle| {
                 (0..rival_count)

@@ -74,7 +74,6 @@ fn run_session() -> Vec<String> {
     let server = Server::spawn(ServeConfig {
         workers: 1,
         queue_capacity: 64,
-        retry_after_ms: 50,
         cache: Some(hbm_fpga::serve::ResultCache::new()),
         ..ServeConfig::default()
     });
