@@ -72,11 +72,13 @@
 //! accepts newline-delimited-JSON clients until one sends the
 //! `shutdown` verb. `--queue` bounds the admission queue in grid points
 //! (default 4096); submissions that would overflow it are rejected with
-//! a `retry_after_ms` backpressure hint. The daemon always enables the
-//! metric registry; `--metrics-addr` additionally serves Prometheus
-//! text exposition over plain HTTP (the ready line then carries a
-//! `"metrics"` field with the bound address), and `--span-log FILE`
-//! appends one JSONL job-lifecycle span per finished job. See
+//! a `retry_after_ms` backpressure hint, and a grid with more points
+//! than the whole queue is refused as too large, with `max_points` and
+//! no hint. The daemon always enables the metric registry;
+//! `--metrics-addr` additionally serves Prometheus text exposition over
+//! plain HTTP (the ready line then carries a `"metrics"` field with the
+//! bound address), and `--span-log FILE` appends one JSONL
+//! job-lifecycle span per finished job. See
 //! `examples/serve_client.rs` for a full client.
 
 use hbm_bench::render;

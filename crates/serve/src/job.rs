@@ -169,12 +169,22 @@ pub struct JobStatus {
     pub run_ms: f64,
 }
 
-/// Backpressure signal: the admission queue is full. The client should
-/// retry no sooner than `retry_after_ms` from receipt.
+/// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Rejection {
-    /// Suggested client back-off in milliseconds.
-    pub retry_after_ms: u64,
+pub enum Rejection {
+    /// Backpressure: the admission queue cannot take the grid now, or the
+    /// pool is shutting down. The client should retry no sooner than
+    /// `retry_after_ms` from receipt.
+    QueueFull {
+        /// Suggested client back-off in milliseconds.
+        retry_after_ms: u64,
+    },
+    /// The grid has more points than the whole admission queue holds, so
+    /// no retry can admit it; the client must split it.
+    TooLarge {
+        /// The queue's capacity: the most points one grid may have.
+        max_points: usize,
+    },
 }
 
 /// One event on a job's subscription stream.

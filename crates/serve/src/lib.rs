@@ -8,7 +8,9 @@
 //!
 //! * the in-process [`ServeHandle`] API ([`Server::spawn`]), or
 //! * newline-delimited JSON over TCP ([`WireServer`] / [`Client`]),
-//!   speaking the exact same serde types.
+//!   speaking the exact same serde types. The server turns Nagle's
+//!   algorithm off on every connection, so a stream's rows leave as they
+//!   are written instead of waiting on the client's delayed ACK.
 //!
 //! The scheduler provides what a shared sweep box actually needs:
 //!
@@ -17,8 +19,10 @@
 //!   the points an adaptive job's plan does not escalate, and points the
 //!   cache already holds. Only the rest wait for a worker.
 //! * **Admission control / backpressure** — a bounded queue of pending
-//!   points; overflowing submissions are rejected immediately with a
-//!   [`Rejection`] carrying `retry_after_ms` ([`RETRY_AFTER_MS`]).
+//!   points; overflowing submissions are rejected immediately with
+//!   [`Rejection::QueueFull`] carrying `retry_after_ms`
+//!   ([`RETRY_AFTER_MS`]), and a grid larger than the whole queue with
+//!   [`Rejection::TooLarge`], which no retry can admit.
 //! * **Fair-share interleaving** — round-robin *per point* across jobs
 //!   of equal priority, strict priority between levels, so a huge grid
 //!   never head-of-line-blocks a small one.

@@ -15,12 +15,15 @@
 //! indices are queued as the job's pending points; they alone count
 //! against [`ServeConfig::queue_capacity`].
 //!
-//! A submission is rejected *immediately* with a [`Rejection`] carrying
-//! [`RETRY_AFTER_MS`] when the pool is shutting down or the raw grid
-//! would not fit beside the queued points — checked before any lookup
-//! or model work, so no grid bypasses the bound — and again, under the
-//! lock, if its pending points no longer fit. The client backs off and
-//! retries; nothing blocks and nothing is silently dropped.
+//! A submission is rejected *immediately*, before any lookup or model
+//! work, so no grid bypasses the bound. A raw grid with more points than
+//! the whole queue holds gets [`Rejection::TooLarge`] at any fidelity:
+//! no retry can admit it. A grid that would not fit beside the queued
+//! points now, or any grid while the pool is shutting down, gets
+//! [`Rejection::QueueFull`] carrying [`RETRY_AFTER_MS`], and so does one
+//! whose pending points no longer fit when checked again under the
+//! lock. The client backs off and retries a full queue; nothing blocks
+//! and nothing is silently dropped.
 //!
 //! ## Scheduling discipline
 //!
@@ -106,7 +109,8 @@ pub struct ServeConfig {
     /// Worker threads measuring grid points.
     pub workers: usize,
     /// Maximum undispatched points across all admitted jobs; submissions
-    /// that would exceed it are rejected with a retry-after.
+    /// that would exceed it are rejected with a retry-after, and grids
+    /// larger than it are refused outright.
     pub queue_capacity: usize,
     /// Result cache consulted at admission and evaluated through by the
     /// workers; `None` uses the process-wide [`ResultCache::global`]
@@ -522,14 +526,14 @@ impl Server {
 }
 
 impl ServeHandle {
-    /// Admits `spec` or rejects it with a retry-after when the pending
-    /// queue cannot take the grid. Admission deposits every row that
-    /// needs no simulation (see the module doc); the job's other points
-    /// enter the fair-share rotation.
+    /// Admits `spec`, or rejects it when the pending queue cannot take
+    /// the grid (see the module doc for which [`Rejection`]). Admission
+    /// deposits every row that needs no simulation (see the module doc);
+    /// the job's other points enter the fair-share rotation.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, Rejection> {
         // The raw grid is checked before any lookup or model work, so a
-        // shutting-down pool or a grid that cannot fit beside the queued
-        // points costs nothing to reject.
+        // shutting-down pool, a grid larger than the queue or one that
+        // cannot fit beside the queued points costs nothing to reject.
         self.admit(&self.shared.state.lock().unwrap(), spec.points.len())?;
         let (answered, pending, escalated) = admission_rows(&self.shared.cache, &spec);
         let mut st = self.shared.state.lock().unwrap();
@@ -580,14 +584,20 @@ impl ServeHandle {
         Ok(JobId(id))
     }
 
-    /// The admission check: a pool that is shutting down, or whose queue
-    /// cannot take `points` more, rejects (and counts the rejection).
+    /// The admission check, which counts every rejection: more `points`
+    /// than the whole queue holds are refused for good; a pool that is
+    /// shutting down, or whose queue cannot take `points` more now, asks
+    /// for a retry.
     fn admit(&self, st: &State, points: usize) -> Result<(), Rejection> {
-        if st.shutdown || st.queued_points + points > self.queue_capacity {
-            st.stats.jobs_rejected.inc();
-            return Err(Rejection { retry_after_ms: RETRY_AFTER_MS });
-        }
-        Ok(())
+        let rejection = if points > self.queue_capacity {
+            Rejection::TooLarge { max_points: self.queue_capacity }
+        } else if st.shutdown || st.queued_points + points > self.queue_capacity {
+            Rejection::QueueFull { retry_after_ms: RETRY_AFTER_MS }
+        } else {
+            return Ok(());
+        };
+        st.stats.jobs_rejected.inc();
+        Err(rejection)
     }
 
     /// Subscribes to a job's event stream. Rows already produced are
@@ -962,8 +972,26 @@ mod tests {
         h.pause();
         h.submit(spec("fits", 4)).unwrap();
         let rej = h.submit(spec("overflow", 1)).unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
+        assert_eq!(rej, Rejection::QueueFull { retry_after_ms: RETRY_AFTER_MS });
         assert_eq!(h.stats().jobs_rejected, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_grid_larger_than_the_queue_is_refused_as_too_large() {
+        let server =
+            Server::spawn(ServeConfig { workers: 1, queue_capacity: 4, ..ServeConfig::default() });
+        let h = server.handle();
+        h.pause();
+        // An empty queue still cannot take 5 points, at any fidelity: an
+        // analytical grid is refused too, though it would take no slot.
+        let too_large = Rejection::TooLarge { max_points: 4 };
+        assert_eq!(h.submit(spec("cycle", 5)).unwrap_err(), too_large);
+        let analytical = JobSpec::new("analytical", Fidelity::ANALYTICAL, tiny_points(5));
+        assert_eq!(h.submit(analytical).unwrap_err(), too_large);
+        assert_eq!(h.stats().jobs_rejected, 2);
+        // A grid of exactly the capacity is admitted.
+        h.submit(spec("fits", 4)).unwrap();
         server.shutdown();
     }
 
@@ -1210,7 +1238,7 @@ mod tests {
         // front — adaptive escalation accounting is no way around the
         // capacity bound.
         let rej = h.submit(spec("too-big", 5).with_adaptive()).unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
+        assert_eq!(rej, Rejection::TooLarge { max_points: 4 });
         assert_eq!(h.stats().jobs_rejected, 1);
         // A grid that fits outright is admitted as before.
         let id = h.submit(spec("fits", 4).with_adaptive()).unwrap();
@@ -1224,7 +1252,7 @@ mod tests {
         let h = server.handle();
         server.shutdown();
         let rej = h.submit(spec("late", 2).with_adaptive()).unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
+        assert_eq!(rej, Rejection::QueueFull { retry_after_ms: RETRY_AFTER_MS });
     }
 
     #[test]

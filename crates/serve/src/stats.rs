@@ -43,7 +43,7 @@ pub struct ServeStats {
     pub busy_ns: Arc<Counter>,
     /// Jobs admitted.
     pub jobs_submitted: Arc<Counter>,
-    /// Jobs rejected by admission control (queue full).
+    /// Jobs rejected by admission control (queue full or job too large).
     pub jobs_rejected: Arc<Counter>,
     /// Jobs that ran every point to a row.
     pub jobs_completed: Arc<Counter>,
@@ -284,7 +284,8 @@ pub struct StatsSnapshot {
     pub stream_us: HistSummary,
     /// Jobs admitted.
     pub jobs_submitted: u64,
-    /// Jobs rejected with a retry-after.
+    /// Jobs rejected: a full queue (with a retry-after) or a grid larger
+    /// than the whole queue.
     pub jobs_rejected: u64,
     /// Jobs run to completion.
     pub jobs_completed: u64,

@@ -12,7 +12,7 @@
 //!
 //! | verb        | extra fields          | response                                     |
 //! |-------------|-----------------------|----------------------------------------------|
-//! | `submit`    | `spec`: [`JobSpec`]   | `{"ok":true,"job":N}` or queue-full rejection with `retry_after_ms` |
+//! | `submit`    | `spec`: [`JobSpec`]   | `{"ok":true,"job":N}`, or a rejection: queue full with `retry_after_ms`, or job too large with `max_points` |
 //! | `status`    | `job`: N              | `{"ok":true,"status":{...}}`                 |
 //! | `subscribe` | `job`: N              | `{"ok":true}` then row/end event lines       |
 //! | `cancel`    | `job`: N              | `{"ok":true,"cancelled":bool}`               |
@@ -22,12 +22,15 @@
 //! | `cache`     | `clear`: bool (opt.)  | `{"ok":true,"cache":{...}}` (snapshot after an optional memory-tier clear) |
 //! | `shutdown`  | —                     | `{"ok":true}`; the server then stops         |
 //!
-//! Errors are `{"ok":false,"error":"..."}`; a queue-full rejection
-//! additionally carries `retry_after_ms`, the explicit backpressure
-//! signal ([`crate::Rejection`]). A request line longer than
-//! [`MAX_REQUEST_LINE`] bytes gets `{"ok":false,"error":"request line
-//! too long"}` and its connection is closed; other connections are
-//! unaffected.
+//! Errors are `{"ok":false,"error":"..."}`. The two submit rejections
+//! ([`crate::Rejection`]) carry one more field each: a queue-full one
+//! (`"error":"queue full"`) carries `retry_after_ms`, the explicit
+//! backpressure signal; a grid with more points than the whole queue
+//! holds gets `"error":"job too large"` with `max_points`, the queue's
+//! capacity, and no retry hint, since no retry can admit it. A request
+//! line longer than [`MAX_REQUEST_LINE`] bytes gets
+//! `{"ok":false,"error":"request line too long"}` and its connection is
+//! closed; other connections are unaffected.
 //!
 //! ## Events
 //!
@@ -193,6 +196,14 @@ fn accept_loop(listener: &TcpListener, handle: &ServeHandle) {
 /// Runs one connection's request/response conversation to EOF, or to
 /// the first request line longer than [`MAX_REQUEST_LINE`].
 fn handle_connection(stream: TcpStream, handle: &ServeHandle) {
+    // `subscribe` writes one line per event while its client only reads.
+    // With Nagle's algorithm on, every line after the first waited in the
+    // kernel for the client's delayed ACK (40 ms minimum on Linux), so no
+    // job's rows arrived sooner than ~40 ms after `subscribe`: on a 2-vCPU
+    // Xeon host an 8-point analytical job took 41–44 ms from submit to
+    // `End`, 0.4–1.0 ms with Nagle off. A connection that cannot set it
+    // still works.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
@@ -249,10 +260,15 @@ fn handle_request(
             };
             let reply = match handle.submit(spec) {
                 Ok(job) => json!({ "ok": true, "job": job.0 }),
-                Err(rej) => json!({
+                Err(Rejection::QueueFull { retry_after_ms }) => json!({
                     "ok": false,
                     "error": "queue full",
-                    "retry_after_ms": rej.retry_after_ms,
+                    "retry_after_ms": retry_after_ms,
+                }),
+                Err(Rejection::TooLarge { max_points }) => json!({
+                    "ok": false,
+                    "error": "job too large",
+                    "max_points": max_points,
                 }),
             };
             write_line(writer, &reply).is_ok()
@@ -355,7 +371,8 @@ impl Client {
     }
 
     /// Submits `spec`; `Err(Rejection)` inside the `Ok` is the server's
-    /// backpressure signal (queue full, retry later).
+    /// refusal: a full queue (retry later) or a grid too large for the
+    /// queue (split it).
     pub fn submit(&mut self, spec: &JobSpec) -> io::Result<Result<JobId, Rejection>> {
         let reply = self.call(&json!({ "verb": "submit", "spec": spec.clone() }))?;
         match reply.get("ok") {
@@ -363,10 +380,17 @@ impl Client {
                 Some(id) => Ok(Ok(JobId(id))),
                 None => Err(bad_reply("submit reply without job id")),
             },
-            _ => match u64_field(&reply, "retry_after_ms") {
-                Some(ms) => Ok(Err(Rejection { retry_after_ms: ms })),
-                None => Err(bad_reply("submit rejected without retry_after_ms")),
-            },
+            _ => {
+                let max_points =
+                    u64_field(&reply, "max_points").and_then(|n| usize::try_from(n).ok());
+                match (u64_field(&reply, "retry_after_ms"), max_points) {
+                    (Some(retry_after_ms), _) => Ok(Err(Rejection::QueueFull { retry_after_ms })),
+                    (None, Some(max_points)) => Ok(Err(Rejection::TooLarge { max_points })),
+                    (None, None) => {
+                        Err(bad_reply("submit rejected without retry_after_ms or max_points"))
+                    }
+                }
+            }
         }
     }
 
@@ -374,7 +398,9 @@ impl Client {
     /// decorrelated jitter seeded by the server's `retry_after_ms` hint.
     /// A floor ([`RETRY_FLOOR_MS`]) keeps a `retry_after_ms` of 0 from
     /// degenerating into a busy-spin that hammers the socket, and a cap
-    /// ([`RETRY_CAP_MS`]) bounds the growth.
+    /// ([`RETRY_CAP_MS`]) bounds the growth. Only a full queue is retried:
+    /// [`Rejection::TooLarge`] comes back at once, since no retry can
+    /// admit the grid.
     pub fn submit_with_retry(
         &mut self,
         spec: &JobSpec,
@@ -382,19 +408,21 @@ impl Client {
     ) -> io::Result<Result<JobId, Rejection>> {
         let mut rng = retry_seed();
         let mut prev = RETRY_FLOOR_MS;
-        let mut last = Rejection { retry_after_ms: 0 };
-        let attempts = max_attempts.max(1);
-        for attempt in 0..attempts {
-            match self.submit(spec)? {
+        let mut attempt = 1;
+        loop {
+            let rej = match self.submit(spec)? {
                 Ok(id) => return Ok(Ok(id)),
-                Err(rej) => last = rej,
-            }
-            if attempt + 1 < attempts {
-                prev = backoff_ms(last.retry_after_ms, prev, &mut rng);
-                std::thread::sleep(Duration::from_millis(prev));
+                Err(rej) => rej,
+            };
+            match rej {
+                Rejection::QueueFull { retry_after_ms } if attempt < max_attempts => {
+                    attempt += 1;
+                    prev = backoff_ms(retry_after_ms, prev, &mut rng);
+                    std::thread::sleep(Duration::from_millis(prev));
+                }
+                _ => return Ok(Err(rej)),
             }
         }
-        Ok(Err(last))
     }
 
     /// The server-side view of `job`.
@@ -543,7 +571,7 @@ fn bad_reply(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// The back-off hint every queue-full [`Rejection`] carries, in
+/// The back-off hint every [`Rejection::QueueFull`] carries, in
 /// milliseconds.
 pub const RETRY_AFTER_MS: u64 = 50;
 
@@ -634,7 +662,23 @@ mod tests {
         let mut client = Client::connect(&wire.local_addr().to_string()).unwrap();
         client.submit(&spec("fits", 2)).unwrap().unwrap();
         let rej = client.submit(&spec("overflow", 1)).unwrap().unwrap_err();
-        assert_eq!(rej, Rejection { retry_after_ms: RETRY_AFTER_MS });
+        assert_eq!(rej, Rejection::QueueFull { retry_after_ms: RETRY_AFTER_MS });
+        wire.stop();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_too_large_grid_is_refused_once_without_retries() {
+        let server =
+            Server::spawn(ServeConfig { workers: 1, queue_capacity: 4, ..ServeConfig::default() });
+        let wire = WireServer::bind("127.0.0.1:0", server.handle()).unwrap();
+        let mut client = Client::connect(&wire.local_addr().to_string()).unwrap();
+        let rej = client.submit_with_retry(&spec("too-large", 5), 40).unwrap().unwrap_err();
+        assert_eq!(rej, Rejection::TooLarge { max_points: 4 });
+        assert_eq!(client.stats().unwrap().jobs_rejected, 1, "one attempt, no retries");
+        let reply =
+            client.call_raw(&json!({ "verb": "submit", "spec": spec("raw", 5) }).to_string());
+        assert_eq!(reply.unwrap(), r#"{"ok":false,"error":"job too large","max_points":4}"#);
         wire.stop();
         server.shutdown();
     }

@@ -22,7 +22,10 @@
 //! direct path.)
 
 use hbm_fpga::core::experiment::{fig4_rows, Fidelity};
-use hbm_fpga::serve::{Client, Event, JobSpec, JobState, RowStatus};
+use hbm_fpga::serve::{Client, Event, JobSpec, JobState, Rejection, RowStatus};
+
+/// The queue capacity the smoke script starts the server with.
+const SMOKE_QUEUE: usize = 20;
 
 /// `--exercise`: drive the control-plane guarantees end-to-end against a
 /// live server — deterministic as long as the server's queue holds fewer
@@ -45,10 +48,28 @@ fn run_exercise(client: &mut Client) {
         .submit(&spec)
         .expect("submit overflow job")
         .expect_err("a second grid must overflow a --queue 20 server");
-    assert!(rejection.retry_after_ms > 0, "rejection must carry a back-off hint");
-    eprintln!("serve-client: overflow rejected, retry_after_ms={}", rejection.retry_after_ms);
+    let Rejection::QueueFull { retry_after_ms } = rejection else {
+        panic!("a 14-point grid is not too large for the queue: {rejection:?}");
+    };
+    assert!(retry_after_ms > 0, "rejection must carry a back-off hint");
+    eprintln!("serve-client: overflow rejected, retry_after_ms={retry_after_ms}");
 
-    // 3. Cancellation: the admitted job dies, its stream still
+    // 3. Refusal: a grid one point larger than the whole queue is
+    //    refused once, with no retry hint, and the retrying submit
+    //    returns at once instead of spending its attempts.
+    let rejected_before = client.stats().expect("stats verb").jobs_rejected;
+    let points = spec.points.iter().cycle().take(SMOKE_QUEUE + 1).cloned().collect();
+    let oversized = JobSpec::new("oversized", spec.fidelity, points);
+    let refusal = client
+        .submit_with_retry(&oversized, 40)
+        .expect("submit oversized job")
+        .expect_err("a grid larger than the queue must be refused");
+    assert_eq!(refusal, Rejection::TooLarge { max_points: SMOKE_QUEUE });
+    let rejected = client.stats().expect("stats verb").jobs_rejected - rejected_before;
+    assert_eq!(rejected, 1, "a too-large grid must be refused once, not retried");
+    eprintln!("serve-client: {}-point grid refused once as too large", SMOKE_QUEUE + 1);
+
+    // 4. Cancellation: the admitted job dies, its stream still
     //    terminates, and undispatched points come back as Cancelled.
     assert!(client.cancel(victim).expect("send cancel"), "running job must be cancellable");
     let (rows, state) = client
@@ -61,7 +82,7 @@ fn run_exercise(client: &mut Client) {
     assert!(cancelled > 0, "cancelling a running grid must cancel pending points");
     eprintln!("serve-client: cancelled {cancelled}/{} points", rows.len());
 
-    // 4. The stats verb accounts for all of it.
+    // 5. The stats verb accounts for all of it.
     let stats = client.stats().expect("stats verb");
     assert!(stats.jobs_rejected >= 1, "rejection must be counted");
     assert!(stats.jobs_cancelled >= 1, "cancellation must be counted");
@@ -97,10 +118,7 @@ fn main() {
     let job = match client.submit_with_retry(&spec, 40).expect("submit fig4 job") {
         Ok(job) => job,
         Err(rej) => {
-            eprintln!(
-                "serve-client: queue still full after retries (retry_after_ms={})",
-                rej.retry_after_ms
-            );
+            eprintln!("serve-client: not admitted after retries: {rej:?}");
             std::process::exit(1);
         }
     };

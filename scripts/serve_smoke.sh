@@ -7,10 +7,14 @@
 #   2. Run two `serve_client` examples CONCURRENTLY against it and diff
 #      each one's output against the direct `repro fig4 --json --quick`
 #      path — streamed results must be byte-identical, per client. (The
-#      clients' submit path retries on the server's retry_after_ms hint,
-#      so the small queue also exercises live backpressure here.)
+#      clients' submit path retries a queue-full rejection on the
+#      server's retry_after_ms hint, so the small queue also exercises
+#      live backpressure here.)
 #   3. Run the client's `--exercise` mode: deterministic queue-full
-#      rejection, cancellation of a running job, stats accounting.
+#      rejection; a 21-point grid, larger than the whole queue, refused
+#      as too large (max_points 20) after one attempt of a retrying
+#      submit, so `jobs_rejected` rises by exactly 1; cancellation of a
+#      running job; stats accounting.
 #   4. Poke raw NDJSON error paths over /dev/tcp.
 #   5. Run one more --quick client, whose 14 points are all cached by
 #      now: the `stats` verb must count 14 more cache hits and no more
@@ -61,7 +65,7 @@ diff -u "$WORK/direct.json" "$WORK/client1.json" || { echo "client 1 diverged fr
 diff -u "$WORK/direct.json" "$WORK/client2.json" || { echo "client 2 diverged from the direct path"; exit 1; }
 echo "   both clients byte-identical to the direct path"
 
-echo "== queue-full rejection + cancellation exercises"
+echo "== queue-full rejection + too-large refusal + cancellation exercises"
 "$CLIENT" "$ADDR" --exercise > "$WORK/exercise.out" 2> "$WORK/exercise.err" \
   || { cat "$WORK/exercise.err"; echo "exercise mode failed"; exit 1; }
 grep -q 'exercises OK' "$WORK/exercise.out" || { cat "$WORK/exercise.out"; exit 1; }
