@@ -244,19 +244,14 @@ impl TrafficSource for DataflowEngine {
         let (phase, is_read) =
             self.in_flight.remove(&txn.seq).expect("completion for unknown transaction");
         let ps = &mut self.phases[phase];
-        self.stats.completed += 1;
-        let lat = now.saturating_sub(txn.issued_at);
+        self.stats.record_completion(txn, now);
         if is_read {
             ps.reads_outstanding -= 1;
             if ps.reads_complete() && ps.reads_done_at.is_none() {
                 ps.reads_done_at = Some(now);
             }
-            self.stats.bytes_read += txn.bytes();
-            self.stats.read_lat.record(lat);
         } else {
             ps.writes_outstanding -= 1;
-            self.stats.bytes_written += txn.bytes();
-            self.stats.write_lat.record(lat);
         }
         self.schedule_compute(now);
         self.retire(now);

@@ -35,6 +35,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::hist::Hist;
 use crate::transaction::Transaction;
 use crate::types::{Cycle, Dir};
 
@@ -171,132 +172,6 @@ impl Attribution {
             + self.mc_queue
             + self.dram_service
             + self.return_path
-    }
-}
-
-/// Number of power-of-two buckets in a [`Hist`] (covers the full `u64`
-/// cycle range; the top bucket absorbs anything above `2^47`).
-pub const HIST_BUCKETS: usize = 48;
-
-/// HDR-style latency histogram: power-of-two buckets plus exact
-/// min/max/sum, supporting p50/p95/p99/p99.9 with bucket resolution.
-///
-/// A value `v` lands in bucket `floor(log2(max(v,1)))`, so a reported
-/// percentile is the bucket's upper edge clamped to the observed
-/// `[min, max]` — an upper bound off by at most 2× (the same scheme as
-/// `hbm_traffic::LatencyStats`, extended to cover attribution components
-/// that can legitimately be zero).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Hist {
-    /// Sample count.
-    pub n: u64,
-    /// Sum of samples (for the mean).
-    pub sum: u64,
-    /// Smallest sample, `u64::MAX` when empty.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Zero-valued samples (bucket 0 also holds the value 1).
-    pub zeros: u64,
-    /// Power-of-two buckets.
-    #[serde(with = "serde_arrays")]
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
-mod serde_arrays {
-    use super::HIST_BUCKETS;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[u64; HIST_BUCKETS], s: S) -> Result<S::Ok, S::Error> {
-        v.as_slice().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<[u64; HIST_BUCKETS], D::Error> {
-        let v = Vec::<u64>::deserialize(d)?;
-        let mut out = [0u64; HIST_BUCKETS];
-        for (o, x) in out.iter_mut().zip(v) {
-            *o = x;
-        }
-        Ok(out)
-    }
-}
-
-impl Default for Hist {
-    fn default() -> Hist {
-        Hist { n: 0, sum: 0, min: u64::MAX, max: 0, zeros: 0, buckets: [0; HIST_BUCKETS] }
-    }
-}
-
-impl Hist {
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.n += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        if v == 0 {
-            self.zeros += 1;
-        }
-        let b = (63 - v.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[b] += 1;
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.n as f64
-        }
-    }
-
-    /// The q-quantile (`0 < q <= 1`) as the covering bucket's upper edge,
-    /// clamped to the observed `[min, max]`. `None` when empty.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        if self.n == 0 {
-            return None;
-        }
-        let want = ((q * self.n as f64).ceil() as u64).clamp(1, self.n);
-        // Exact zeros sort before everything in bucket 0.
-        if want <= self.zeros {
-            return Some(0);
-        }
-        let mut seen = self.zeros;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            // Bucket 0 shares its count with the zeros already consumed.
-            let c = if i == 0 { c.saturating_sub(self.zeros) } else { c };
-            seen += c;
-            if seen >= want {
-                let edge = if i + 1 >= 64 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
-                return Some(edge.min(self.max).max(self.min));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Median (upper-edge estimate).
-    pub fn p50(&self) -> Option<u64> {
-        self.percentile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> Option<u64> {
-        self.percentile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<u64> {
-        self.percentile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> Option<u64> {
-        self.percentile(0.999)
     }
 }
 
@@ -571,7 +446,7 @@ mod tests {
         assert_eq!(a.dram_service, 18);
         assert_eq!(a.return_path, 12);
         assert_eq!(a.total(), rec.end_to_end().unwrap());
-        assert_eq!(t.read_attr.end_to_end.count(), 1);
+        assert_eq!(t.read_attr.end_to_end.n, 1);
         assert_eq!(t.live_len(), 0);
     }
 
@@ -617,7 +492,7 @@ mod tests {
         assert_eq!(t.records().len(), 1);
         assert_eq!(t.dropped(), 2);
         assert_eq!(t.delivered_count(), 3);
-        assert_eq!(t.read_attr.end_to_end.count(), 3);
+        assert_eq!(t.read_attr.end_to_end.n, 3);
     }
 
     #[test]
@@ -635,25 +510,6 @@ mod tests {
         let merged = t.snapshot();
         assert_eq!(merged.records().iter().map(|r| r.master).collect::<Vec<_>>(), [0, 2]);
         assert_eq!(t.live_len(), 0);
-    }
-
-    #[test]
-    fn hist_percentiles_ordered_and_bounded() {
-        let mut h = Hist::default();
-        for v in [0u64, 0, 1, 2, 3, 5, 8, 13, 100, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10);
-        let p50 = h.p50().unwrap();
-        let p95 = h.p95().unwrap();
-        let p99 = h.p99().unwrap();
-        let p999 = h.p999().unwrap();
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= p999);
-        assert!(p999 <= h.max);
-        assert_eq!(h.percentile(1.0).unwrap(), 1000);
-        // 2/10 samples are exact zeros → p20 is exactly 0.
-        assert_eq!(h.percentile(0.2).unwrap(), 0);
-        assert_eq!(Hist::default().p50(), None);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! * [`OutstandingTracker`] — per-ID in-flight accounting enforcing the
 //!   AXI same-ID ordering rule,
 //! * [`BeatCounter`] — burst payload accounting in 32-byte beats,
+//! * [`Hist`] — the one latency histogram (rows, tracer, metric registry),
 //! * [`instrument`] — opt-in per-transaction lifecycle tracing and latency
 //!   attribution (per-master lists of stamp records found by
 //!   `(master, seq)`; zero cost when tracing is off).
@@ -40,6 +41,7 @@
 //! ```
 
 pub mod clock;
+pub mod hist;
 pub mod instrument;
 pub mod queue;
 pub mod tracker;
@@ -47,6 +49,7 @@ pub mod transaction;
 pub mod types;
 
 pub use clock::ClockDomain;
+pub use hist::Hist;
 pub use instrument::{Attribution, Tracer, TxnRecord};
 pub use queue::{DelayQueue, StampedRing};
 pub use tracker::OutstandingTracker;

@@ -51,13 +51,13 @@ fn attribution_table(tracer: &Tracer, dir: Dir) -> String {
         let p = |v: Option<u64>| v.map_or_else(|| "—".into(), |v| v.to_string());
         t.row([
             name.to_string(),
-            h.count().to_string(),
-            format!("{:.1}", h.mean()),
+            h.n.to_string(),
+            format!("{:.1}", h.mean().unwrap_or(0.0)),
             p(h.p50()),
             p(h.p95()),
             p(h.p99()),
             p(h.p999()),
-            if h.count() == 0 { "—".into() } else { h.max.to_string() },
+            if h.n == 0 { "—".into() } else { h.max.to_string() },
         ]);
     }
     let label = match dir {

@@ -562,26 +562,23 @@ pub fn predict(cfg: &SystemConfig, wl: &Workload, fid: Fidelity, cal: &Calibrati
     let rd_txns_pm = (total_bytes * read_frac / txn_bytes as f64 / n as f64).floor() as u64;
     let wr_txns_pm = (total_bytes * (1.0 - read_frac) / txn_bytes as f64 / n as f64).floor() as u64;
 
-    let mut master = GenStats {
-        issued: rd_txns_pm + wr_txns_pm,
-        completed: rd_txns_pm + wr_txns_pm,
-        bytes_read: rd_txns_pm * txn_bytes,
-        bytes_written: wr_txns_pm * txn_bytes,
+    let masters = n as u64;
+    let mut gen = GenStats {
+        issued: masters * (rd_txns_pm + wr_txns_pm),
+        completed: masters * (rd_txns_pm + wr_txns_pm),
+        bytes_read: masters * rd_txns_pm * txn_bytes,
+        bytes_written: masters * wr_txns_pm * txn_bytes,
         ..GenStats::default()
     };
-    // One sample per direction at the model's mean: `mean()` is exact,
-    // and the row costs microseconds regardless of volume.
-    if rd_txns_pm > 0 {
-        master.read_lat.record(read_lat);
-    }
-    if wr_txns_pm > 0 {
-        master.write_lat.record(write_lat);
-    }
-    // Folded one master at a time, as a simulated row's aggregate is,
-    // so every `f64` sum rounds the same way.
-    let mut gen = GenStats::default();
+    // One sample per master and direction at the model's mean: `mean()`
+    // is exact, and the row costs microseconds regardless of volume.
     for _ in 0..n {
-        gen.merge(&master);
+        if rd_txns_pm > 0 {
+            gen.read_lat.record(read_lat);
+        }
+        if wr_txns_pm > 0 {
+            gen.write_lat.record(write_lat);
+        }
     }
 
     // DRAM counters from the model's pattern terms.

@@ -51,6 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use hbm_traffic::Workload;
+use serde::value::{from_value, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::Fidelity;
@@ -59,11 +60,12 @@ use crate::system::SystemConfig;
 
 /// Version of the simulator semantics a cached measurement was produced
 /// under. Bump this whenever *any* change can alter a measurement —
-/// kernel scheduling, fabric timing, statistics accounting — and every
-/// previously cached entry silently stops matching. Removing a field no
-/// reader uses moves no counter and needs no bump: deserialisation
-/// ignores the extra key in older entries (DESIGN.md §3.5).
-pub const SIM_KERNEL_VERSION: u32 = 2;
+/// kernel scheduling, fabric timing, statistics accounting, a row's
+/// encoding — and every previously cached entry silently stops
+/// matching. Removing a field no reader uses moves no counter and needs
+/// no bump: deserialisation ignores the extra key in older entries
+/// (DESIGN.md §3.5).
+pub const SIM_KERNEL_VERSION: u32 = 3;
 
 /// Memory-tier shard count (fingerprints spread by their high bits).
 const SHARDS: usize = 16;
@@ -606,10 +608,12 @@ impl ResultCache {
         self.inner.disk_needs_load.store(false, Ordering::Release);
     }
 
-    /// Parses every `*.jsonl` segment under `dir`. A segment is
-    /// all-or-nothing: any unparsable line (corruption, truncation)
-    /// skips the whole segment with a loud stderr note, and the run
-    /// proceeds without its entries.
+    /// Parses every `*.jsonl` segment under `dir`. Each line's version
+    /// is read before its row is decoded, so a line of another
+    /// [`SIM_KERNEL_VERSION`] counts in `stale_skipped` whatever its
+    /// row's shape. A segment is all-or-nothing: any other unparsable
+    /// line (corruption, truncation) skips the whole segment with a loud
+    /// stderr note, and the run proceeds without its entries.
     fn read_segments(&self, dir: &Path) -> Vec<(u128, Arc<Measurement>)> {
         let mut out = Vec::new();
         let Ok(names) = std::fs::read_dir(dir) else { return out };
@@ -618,6 +622,7 @@ impl ResultCache {
             .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
             .collect();
         paths.sort();
+        let current = Value::U64(SIM_KERNEL_VERSION.into());
         for path in paths {
             let Ok(body) = std::fs::read_to_string(&path) else {
                 eprintln!("hbm-cache: skipping unreadable segment {}", path.display());
@@ -631,15 +636,20 @@ impl ResultCache {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match serde_json::from_str::<DiskRecord>(line) {
-                    Ok(rec) if rec.v != SIM_KERNEL_VERSION => stale += 1,
-                    Ok(rec) => match Fingerprint::parse(&rec.fp) {
-                        Some(fp) => entries.push((fp.0, Arc::new(rec.m))),
-                        None => {
-                            bad = Some(format!("line {}: bad fingerprint", lineno + 1));
-                            break;
-                        }
-                    },
+                let rec = match serde_json::from_str::<Value>(line) {
+                    Ok(rec) if rec.get("v").is_some_and(|v| *v != current) => {
+                        stale += 1;
+                        continue;
+                    }
+                    Ok(rec) => from_value::<DiskRecord>(rec).map_err(|e| e.to_string()),
+                    Err(e) => Err(e.to_string()),
+                };
+                match rec.map(|rec| (Fingerprint::parse(&rec.fp), rec.m)) {
+                    Ok((Some(fp), m)) => entries.push((fp.0, Arc::new(m))),
+                    Ok((None, _)) => {
+                        bad = Some(format!("line {}: bad fingerprint", lineno + 1));
+                        break;
+                    }
                     Err(e) => {
                         bad = Some(format!("line {}: {e}", lineno + 1));
                         break;
@@ -1021,6 +1031,47 @@ mod tests {
         assert_eq!(snap.stale_skipped, 1);
         assert_eq!(snap.disk_segments_loaded, 1, "segment itself is healthy");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A line written under version 2, in that version's row encoding
+    /// (`f64` latency sums, 24 buckets), counts as stale, not corrupt,
+    /// and so does a version-2 line whose row does not decode at all.
+    #[test]
+    fn old_version_lines_are_stale_whatever_their_row_shape() {
+        const V2_LINE: &str = concat!(
+            r#"{"v":2,"fp":"bd8bf73143646535c916e3e5cc339953","m":{"cycles":4000,"#,
+            r#""clock":{"freq_mhz":300},"gen":{"issued":7584,"completed":7520,"#,
+            r#""bytes_read":0,"bytes_written":3850240,"read_lat":{"n":0,"sum":0.0,"#,
+            r#""sum_sq":0.0,"min":0,"max":0,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+            r#"0,0,0,0,0,0,0,0]},"write_lat":{"n":7520,"sum":1254688.0,"#,
+            r#""sum_sq":209874528.0,"min":132,"max":170,"buckets":[0,0,0,0,0,0,0,7520,"#,
+            r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},"mem":{"bytes_read":0,"#,
+            r#""bytes_written":3865088,"page_hits":3699,"page_closed":1744,"#,
+            r#""page_misses":2106,"turnarounds":0,"refreshes":110,"#,
+            r#""busy_ns":268408.88888888934,"stall_ns":116057.55555555642},"#,
+            r#""fabric":{"ingress":{"flits":7584,"beats":121344,"grant_switches":0},"#,
+            r#""egress":{"flits":7520,"beats":7520,"grant_switches":7520},"#,
+            r#""mc_links":{"flits":15040,"beats":127840,"grant_switches":7520},"#,
+            r#""lateral_right":[],"lateral_left":[],"id_stall_cycles":0},"#,
+            r#""device_gbps":460.79999999999995}}"#,
+        );
+        let loaded = |dir: &Path| {
+            let cache = ResultCache::with_dir(dir);
+            assert!(cache.peek(Fingerprint(0)).is_none());
+            cache.snapshot()
+        };
+        let dir = tmp_dir("v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("seg-v2.jsonl"), format!("{V2_LINE}\n")).unwrap();
+        let snap = loaded(&dir);
+        assert_eq!((snap.stale_skipped, snap.disk_segments_skipped), (1, 0));
+
+        let shapeless = r#"{"v":2,"fp":"bd8bf73143646535c916e3e5cc339953","m":{}}"#;
+        std::fs::write(dir.join("seg-v2-shapeless.jsonl"), format!("{shapeless}\n")).unwrap();
+        let snap = loaded(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((snap.stale_skipped, snap.disk_segments_skipped), (2, 0));
+        assert_eq!(snap.disk_segments_loaded, 2);
     }
 
     #[test]

@@ -323,6 +323,14 @@ mod tests {
         );
     }
 
+    /// Rows are held by the thousand (cache tiers, serve jobs); the
+    /// latency histograms must not grow them.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn a_row_is_at_most_720_bytes() {
+        assert!(std::mem::size_of::<Measurement>() <= 720);
+    }
+
     #[test]
     fn rw_split_respects_ratio() {
         let m = measure(&SystemConfig::xilinx(), Workload::scs(), WARM, MEAS);

@@ -8,10 +8,9 @@
 //!
 //! * [`Counter`] — a monotone `AtomicU64`.
 //! * [`Gauge`] — a settable `AtomicI64` (depths, levels, 0/1 flags).
-//! * [`Histo`] — a lock-free power-of-two-bucket histogram, the atomic
-//!   twin of [`hbm_axi::instrument::Hist`] (same bucket rule, same
-//!   percentile semantics); [`Histo::snapshot`] converts to a plain
-//!   `Hist` so existing summary code applies unchanged.
+//! * [`Histo`] — the lock-free recorder of [`hbm_axi::Hist`], the
+//!   workspace's one histogram: it fills the same buckets through
+//!   [`hbm_axi::hist::bucket`], and [`Histo::snapshot`] returns a `Hist`.
 //!
 //! ## Cost contract
 //!
@@ -44,7 +43,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use hbm_axi::instrument::{Hist, HIST_BUCKETS};
+use hbm_axi::hist::{bucket, HIST_BUCKETS};
+use hbm_axi::Hist;
 
 // ------------------------------------------------------------- global gate
 
@@ -126,19 +126,18 @@ impl Gauge {
     }
 }
 
-/// A lock-free power-of-two-bucket histogram: the atomic counterpart of
-/// [`hbm_axi::instrument::Hist`], with identical bucketing (`record`
-/// uses the same `floor(log2(max(v,1)))` rule) so a [`snapshot`] is a
-/// faithful `Hist` and shares its percentile/mean semantics.
+/// The lock-free recorder of a [`Hist`]: one atomic per field, filled
+/// through the same [`bucket`] rule, so a [`snapshot`] is the `Hist` the
+/// same samples would have recorded.
 ///
 /// [`snapshot`]: Histo::snapshot
 #[derive(Debug)]
 pub struct Histo {
     n: AtomicU64,
     sum: AtomicU64,
+    sum_sq: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    zeros: AtomicU64,
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
@@ -147,45 +146,44 @@ impl Default for Histo {
         Histo {
             n: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            sum_sq: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            zeros: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
 impl Histo {
-    /// Records one sample. Lock-free: five relaxed RMWs.
+    /// Records one sample. Lock-free: relaxed RMWs, Σv² a saturating
+    /// compare-and-swap.
     #[inline]
     pub fn record(&self, v: u64) {
         self.n.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
+        let sq = v.saturating_mul(v);
+        let _ = self
+            .sum_sq
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(sq)));
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-        if v == 0 {
-            self.zeros.fetch_add(1, Ordering::Relaxed);
-        }
-        let b = (63 - v.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n.load(Ordering::Relaxed)
+        self.buckets[bucket(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A plain-value copy, for summaries and rendering. Not a cross-field
     /// atomic snapshot — concurrent `record`s may straddle it — but every
     /// field is individually consistent and monotone.
     pub fn snapshot(&self) -> Hist {
+        let n = self.n.load(Ordering::Relaxed);
         Hist {
-            n: self.n.load(Ordering::Relaxed),
+            n,
             sum: self.sum.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
+            sum_sq: self.sum_sq.load(Ordering::Relaxed),
+            min: if n == 0 { 0 } else { self.min.load(Ordering::Relaxed) },
             max: self.max.load(Ordering::Relaxed),
-            zeros: self.zeros.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets: std::array::from_fn(|i| {
+                u32::try_from(self.buckets[i].load(Ordering::Relaxed)).unwrap_or(u32::MAX)
+            }),
         }
     }
 }
@@ -494,16 +492,17 @@ fn sample_i(out: &mut String, name: &str, labels: &[(String, String)], value: i6
 }
 
 /// Renders one histogram in Prometheus cumulative-bucket form. Bucket
-/// `i` of the power-of-two layout holds values `< 2^(i+1)`, so its
-/// inclusive upper edge is `2^(i+1) - 1`; buckets past the highest
-/// non-empty one collapse into `+Inf`.
+/// `i ≥ 1` holds values up to `2^i − 1`, its `le` edge. Lines run from
+/// `le="1"` to the highest non-empty finite bucket: bucket 0 has no line
+/// of its own, its zeros count in every line, and the open top bucket
+/// counts only in `+Inf`.
 fn render_hist(out: &mut String, name: &str, labels: &[(String, String)], h: &Hist) {
-    let top = h.buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-    let mut cum = 0u64;
-    for (i, &c) in h.buckets.iter().enumerate().take(top) {
-        cum += c;
-        let edge = (1u128 << (i + 1)) - 1;
-        sample(out, name, "_bucket", labels, &[("le", &edge.to_string())], cum);
+    let end =
+        h.buckets[..HIST_BUCKETS - 1].iter().rposition(|&c| c > 0).map_or(1, |i| (i + 1).max(2));
+    let mut cum = u64::from(h.buckets[0]);
+    for (i, &c) in h.buckets.iter().enumerate().take(end).skip(1) {
+        cum += u64::from(c);
+        sample(out, name, "_bucket", labels, &[("le", &((1u64 << i) - 1).to_string())], cum);
     }
     sample(out, name, "_bucket", labels, &[("le", "+Inf")], h.n);
     sample(out, name, "_sum", labels, &[], h.sum);
@@ -559,6 +558,7 @@ fn install_builtin(reg: &Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_and_gauge_round_trip() {
@@ -577,17 +577,48 @@ mod tests {
         assert_eq!(g.get(), 5);
     }
 
+    proptest! {
+        /// (c) A registry histogram fed the same samples as a `Hist`
+        /// snapshots to that `Hist`, zeros, the open top bucket and a
+        /// saturated Σv² included.
+        #[test]
+        fn histo_snapshot_equals_the_hist(
+            v in prop::collection::vec(
+                (0u32..50, any::<u64>()).prop_map(|(bits, r)| r.checked_shr(64 - bits).unwrap_or(0)),
+                0..64,
+            ),
+        ) {
+            let h = Histo::default();
+            let mut reference = Hist::default();
+            for &x in &v {
+                h.record(x);
+                reference.record(x);
+            }
+            prop_assert_eq!(h.snapshot(), reference);
+        }
+    }
+
+    /// The open top bucket renders only in `+Inf`: no finite `le` line
+    /// is ever exceeded by the values it counts.
     #[test]
-    fn histo_matches_hist_semantics() {
+    fn the_open_top_bucket_renders_only_as_inf() {
         let reg = Registry::new();
         let h = reg.histogram("t_us", "help", &[]);
-        let mut reference = Hist::default();
-        for v in [0u64, 1, 2, 3, 100, 5_000, 1 << 40] {
-            h.record(v);
-            reference.record(v);
+        for _ in 0..90 {
+            h.record(100);
         }
-        assert_eq!(h.snapshot(), reference);
-        assert_eq!(h.snapshot().p99(), reference.p99());
+        for _ in 0..10 {
+            h.record(1 << 50);
+        }
+        let text = reg.render();
+        let finite: Vec<&str> =
+            text.lines().filter(|l| l.contains("le=") && !l.contains("+Inf")).collect();
+        assert_eq!(finite.last(), Some(&"t_us_bucket{le=\"127\"} 90"), "{text}");
+        assert!(text.contains("t_us_bucket{le=\"+Inf\"} 100"));
+        // Zeros have no line of their own; they count from `le="1"` on.
+        let zeros = Registry::new();
+        zeros.histogram("z_pct", "help", &[]).record(0);
+        assert!(zeros.render().contains("z_pct_bucket{le=\"1\"} 1\nz_pct_bucket{le=\"+Inf\"} 1"));
     }
 
     #[test]

@@ -69,18 +69,7 @@ impl TrafficSource for TraceSource {
         self.tracker
             .complete(txn.dir, txn.id, txn.seq)
             .expect("AXI ordering violated — simulator bug");
-        self.stats.completed += 1;
-        let lat = now.saturating_sub(txn.issued_at);
-        match txn.dir {
-            hbm_axi::Dir::Read => {
-                self.stats.bytes_read += txn.bytes();
-                self.stats.read_lat.record(lat);
-            }
-            hbm_axi::Dir::Write => {
-                self.stats.bytes_written += txn.bytes();
-                self.stats.write_lat.record(lat);
-            }
-        }
+        self.stats.record_completion(txn, now);
     }
 
     fn stats(&self) -> &GenStats {

@@ -38,7 +38,7 @@
 //!   cache's single-flight. The `stats` verb's `cache_*` fields are the
 //!   cache's own counters.
 //! * **Observability** — queue-wait / run / stream latency histograms
-//!   (power-of-two buckets, same design as `hbm_axi::instrument::Hist`),
+//!   (`hbm_axi::Hist`, the workspace's one histogram),
 //!   worker utilisation, and depth gauges, exported as a JSON
 //!   [`StatsSnapshot`] by the `stats` verb. Every counter is a handle
 //!   into the workspace metric registry

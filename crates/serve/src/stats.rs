@@ -1,12 +1,12 @@
 //! Serving-path observability: latency histograms, depth gauges, and
 //! counters, exported as a JSON snapshot by the `stats` verb.
 //!
-//! Latencies reuse the power-of-two-bucket histogram design of
-//! [`hbm_axi::instrument::Hist`] — recorded in microseconds: queue-wait
-//! (admission → dispatch, per dispatched point; rows answered at
-//! admission never wait), run (dispatch → row, per point),
-//! and stream (row completion → delivery to a subscriber; ≈0 for live
-//! streams, larger for late subscribers replaying the backlog).
+//! Latencies are [`hbm_axi::Hist`]s, the workspace's one histogram,
+//! recorded in microseconds: queue-wait (admission → dispatch, per
+//! dispatched point; rows answered at admission never wait), run
+//! (dispatch → row, per point), and stream (row completion → delivery to
+//! a subscriber; ≈0 for live streams, larger for late subscribers
+//! replaying the backlog).
 //!
 //! Every instrument here is a handle into the workspace metric registry
 //! ([`hbm_core::metrics::Registry::global`]), registered with *replace*
@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hbm_axi::instrument::Hist;
+use hbm_axi::Hist;
 use hbm_core::cache::CacheSnapshot;
 use hbm_core::metrics::{Counter, Histo, Registry};
 use serde::{Deserialize, Serialize};
@@ -255,8 +255,8 @@ impl HistSummary {
     /// Summarises `h`; zeros when empty.
     pub fn of(h: &Hist) -> HistSummary {
         HistSummary {
-            count: h.count(),
-            mean_us: h.mean(),
+            count: h.n,
+            mean_us: h.mean().unwrap_or(0.0),
             p50_us: h.p50().unwrap_or(0),
             p95_us: h.p95().unwrap_or(0),
             p99_us: h.p99().unwrap_or(0),

@@ -187,18 +187,7 @@ impl BmTrafficGen {
         txn: &Transaction,
     ) -> Result<(), hbm_axi::tracker::OrderViolation> {
         self.tracker.complete(txn.dir, txn.id, txn.seq)?;
-        self.stats.completed += 1;
-        let lat = now.saturating_sub(txn.issued_at);
-        match txn.dir {
-            Dir::Read => {
-                self.stats.bytes_read += txn.bytes();
-                self.stats.read_lat.record(lat);
-            }
-            Dir::Write => {
-                self.stats.bytes_written += txn.bytes();
-                self.stats.write_lat.record(lat);
-            }
-        }
+        self.stats.record_completion(txn, now);
         Ok(())
     }
 

@@ -40,6 +40,6 @@ pub mod workload;
 
 pub use builder::WorkloadBuilder;
 pub use generator::BmTrafficGen;
-pub use stats::{GenStats, LatencyStats};
+pub use stats::GenStats;
 pub use trace::{Trace, TraceEvent};
 pub use workload::{Pattern, RwRatio, Workload};

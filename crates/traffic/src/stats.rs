@@ -1,145 +1,7 @@
 //! Latency and volume statistics collected per bus master.
 
+use hbm_axi::{Cycle, Dir, Hist, Transaction};
 use serde::{Deserialize, Serialize};
-
-/// Number of power-of-two latency buckets (bucket `i` holds samples in
-/// `[2^i, 2^(i+1))`, bucket 0 holds 0 and 1).
-pub const LATENCY_BUCKETS: usize = 24;
-
-/// Streaming mean / standard deviation / extrema / histogram accumulator
-/// for latencies in cycles. The histogram uses power-of-two buckets, so
-/// percentiles are exact to within a factor of two — plenty for the
-/// latency-distribution comparisons of the paper's Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    /// Number of samples.
-    pub n: u64,
-    sum: f64,
-    sum_sq: f64,
-    /// Minimum observed latency.
-    pub min: u64,
-    /// Maximum observed latency.
-    pub max: u64,
-    /// Power-of-two histogram buckets.
-    #[serde(with = "serde_arrays")]
-    buckets: [u64; LATENCY_BUCKETS],
-}
-
-/// Serde support for the fixed-size bucket array (serde's derive caps
-/// arrays at 32 on older versions; this keeps us explicit and stable).
-mod serde_arrays {
-    use super::LATENCY_BUCKETS;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[u64; LATENCY_BUCKETS], s: S) -> Result<S::Ok, S::Error> {
-        v.as_slice().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<[u64; LATENCY_BUCKETS], D::Error> {
-        let v = Vec::<u64>::deserialize(d)?;
-        let mut out = [0u64; LATENCY_BUCKETS];
-        for (i, x) in v.into_iter().take(LATENCY_BUCKETS).enumerate() {
-            out[i] = x;
-        }
-        Ok(out)
-    }
-}
-
-impl Default for LatencyStats {
-    fn default() -> LatencyStats {
-        LatencyStats { n: 0, sum: 0.0, sum_sq: 0.0, min: 0, max: 0, buckets: [0; LATENCY_BUCKETS] }
-    }
-}
-
-impl LatencyStats {
-    /// Records one latency sample.
-    pub fn record(&mut self, cycles: u64) {
-        if self.n == 0 {
-            self.min = cycles;
-            self.max = cycles;
-        } else {
-            self.min = self.min.min(cycles);
-            self.max = self.max.max(cycles);
-        }
-        self.n += 1;
-        self.sum += cycles as f64;
-        self.sum_sq += (cycles as f64) * (cycles as f64);
-        let bucket = (64 - cycles.max(1).leading_zeros() as usize - 1).min(LATENCY_BUCKETS - 1);
-        self.buckets[bucket] += 1;
-    }
-
-    /// The latency below which `q` of the samples fall (`q` in 0..=1),
-    /// resolved to the upper edge of the containing power-of-two bucket.
-    /// `None` with no samples.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        if self.n == 0 {
-            return None;
-        }
-        let want = (q.clamp(0.0, 1.0) * self.n as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= want {
-                return Some(((1u64 << (i + 1)) - 1).min(self.max).max(self.min));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Median latency (upper-edge bucket estimate), `None` with no
-    /// samples.
-    pub fn p50(&self) -> Option<u64> {
-        self.percentile(0.50)
-    }
-
-    /// 95th-percentile latency.
-    pub fn p95(&self) -> Option<u64> {
-        self.percentile(0.95)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> Option<u64> {
-        self.percentile(0.99)
-    }
-
-    /// 99.9th-percentile latency.
-    pub fn p999(&self) -> Option<u64> {
-        self.percentile(0.999)
-    }
-
-    /// Mean latency in cycles, or `None` with no samples.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sum / self.n as f64)
-    }
-
-    /// Population standard deviation in cycles, or `None` with no samples.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = (self.sum_sq / self.n as f64 - mean * mean).max(0.0);
-        Some(var.sqrt())
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, o: &LatencyStats) {
-        if o.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *o;
-            return;
-        }
-        self.n += o.n;
-        self.sum += o.sum;
-        self.sum_sq += o.sum_sq;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-        for (a, b) in self.buckets.iter_mut().zip(o.buckets.iter()) {
-            *a += b;
-        }
-    }
-}
 
 /// Per-master traffic statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -152,16 +14,36 @@ pub struct GenStats {
     pub bytes_read: u64,
     /// Write payload bytes completed (acknowledged).
     pub bytes_written: u64,
-    /// Read-transaction latency (issue → last data beat delivered).
-    pub read_lat: LatencyStats,
-    /// Write-transaction latency (issue → acknowledge delivered).
-    pub write_lat: LatencyStats,
+    /// Read-transaction latency in cycles (issue → last data beat
+    /// delivered).
+    pub read_lat: Hist,
+    /// Write-transaction latency in cycles (issue → acknowledge
+    /// delivered).
+    pub write_lat: Hist,
 }
 
 impl GenStats {
     /// Total completed payload bytes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
+    }
+
+    /// Counts one completion delivered at `now`: its payload bytes and
+    /// its latency since issue, in its direction.
+    #[inline]
+    pub fn record_completion(&mut self, txn: &Transaction, now: Cycle) {
+        self.completed += 1;
+        let lat = now.saturating_sub(txn.issued_at);
+        match txn.dir {
+            Dir::Read => {
+                self.bytes_read += txn.bytes();
+                self.read_lat.record(lat);
+            }
+            Dir::Write => {
+                self.bytes_written += txn.bytes();
+                self.write_lat.record(lat);
+            }
+        }
     }
 
     /// Merges another master's statistics into this one.
@@ -178,124 +60,7 @@ impl GenStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_stats_have_no_mean() {
-        let s = LatencyStats::default();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.std_dev(), None);
-    }
-
-    #[test]
-    fn mean_and_std_dev() {
-        let mut s = LatencyStats::default();
-        for v in [2u64, 4, 4, 4, 5, 5, 7, 9] {
-            s.record(v);
-        }
-        assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.std_dev(), Some(2.0));
-        assert_eq!(s.min, 2);
-        assert_eq!(s.max, 9);
-    }
-
-    #[test]
-    fn single_sample() {
-        let mut s = LatencyStats::default();
-        s.record(42);
-        assert_eq!(s.mean(), Some(42.0));
-        assert_eq!(s.std_dev(), Some(0.0));
-        assert_eq!((s.min, s.max), (42, 42));
-    }
-
-    #[test]
-    fn merge_equivalent_to_combined_stream() {
-        let mut a = LatencyStats::default();
-        let mut b = LatencyStats::default();
-        let mut all = LatencyStats::default();
-        for v in [1u64, 5, 9] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [2u64, 8] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.mean(), all.mean());
-        assert_eq!(a.std_dev(), all.std_dev());
-        assert_eq!((a.min, a.max), (all.min, all.max));
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut a = LatencyStats::default();
-        let mut b = LatencyStats::default();
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.mean(), Some(3.0));
-        let empty = LatencyStats::default();
-        a.merge(&empty);
-        assert_eq!(a.n, 1);
-    }
-
-    #[test]
-    fn percentiles_track_the_distribution() {
-        let mut s = LatencyStats::default();
-        // 90 fast samples, 10 slow ones.
-        for _ in 0..90 {
-            s.record(10);
-        }
-        for _ in 0..10 {
-            s.record(1000);
-        }
-        let p50 = s.percentile(0.5).unwrap();
-        let p99 = s.percentile(0.99).unwrap();
-        assert!(p50 <= 31, "p50 {p50} in the fast bucket range");
-        assert!(p99 >= 512, "p99 {p99} reaches the slow tail");
-        assert!(s.percentile(1.0).unwrap() >= 1000 - 1);
-    }
-
-    #[test]
-    fn percentile_empty_none() {
-        assert_eq!(LatencyStats::default().percentile(0.5), None);
-    }
-
-    #[test]
-    fn percentile_survives_merge() {
-        let mut a = LatencyStats::default();
-        let mut b = LatencyStats::default();
-        for _ in 0..50 {
-            a.record(8);
-            b.record(800);
-        }
-        a.merge(&b);
-        assert!(a.percentile(0.25).unwrap() <= 15);
-        assert!(a.percentile(0.9).unwrap() >= 512);
-    }
-
-    #[test]
-    fn named_percentiles_ordered_and_merge_exact() {
-        let mut a = LatencyStats::default();
-        let mut b = LatencyStats::default();
-        let mut all = LatencyStats::default();
-        for v in 1..=700u64 {
-            let (half, x) = if v % 2 == 0 { (&mut a, v) } else { (&mut b, 3 * v) };
-            half.record(x);
-            all.record(x);
-        }
-        a.merge(&b);
-        // Merged percentiles must equal single-stream percentiles exactly
-        // (same bucket counts), for every named accessor.
-        assert_eq!(a.p50(), all.p50());
-        assert_eq!(a.p95(), all.p95());
-        assert_eq!(a.p99(), all.p99());
-        assert_eq!(a.p999(), all.p999());
-        let (p50, p95, p99, p999) =
-            (a.p50().unwrap(), a.p95().unwrap(), a.p99().unwrap(), a.p999().unwrap());
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= p999);
-        assert!(p999 <= a.max);
-        assert!(a.min <= p50);
-    }
+    use hbm_axi::{AxiId, BurstLen, MasterId, TxnBuilder};
 
     #[test]
     fn gen_stats_merge() {
@@ -304,5 +69,18 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.issued, 5);
         assert_eq!(a.total_bytes(), 150);
+    }
+
+    #[test]
+    fn a_completion_counts_its_bytes_and_latency_in_its_direction() {
+        let mut b = TxnBuilder::new(MasterId(0));
+        let rd = b.issue(AxiId(0), 0, BurstLen::of(16), Dir::Read, 10).unwrap();
+        let wr = b.issue(AxiId(1), 512, BurstLen::of(2), Dir::Write, 12).unwrap();
+        let mut s = GenStats::default();
+        s.record_completion(&rd, 58);
+        s.record_completion(&wr, 30);
+        assert_eq!((s.completed, s.bytes_read, s.bytes_written), (2, 512, 64));
+        assert_eq!((s.read_lat.n, s.read_lat.mean()), (1, Some(48.0)));
+        assert_eq!((s.write_lat.n, s.write_lat.mean()), (1, Some(18.0)));
     }
 }

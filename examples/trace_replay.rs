@@ -35,7 +35,7 @@ fn main() {
         let cycles = sys.now();
         let gbps = sys.clock().throughput_gbps(trace.total_bytes(), cycles);
         let stats = sys.gen_stats();
-        let mut read_lat = hbm_fpga::traffic::LatencyStats::default();
+        let mut read_lat = hbm_fpga::axi::Hist::default();
         for g in &stats {
             read_lat.merge(&g.read_lat);
         }

@@ -15,6 +15,10 @@
 #      re-flushed a healthy segment).
 #   4. `--no-cache` must win over `--cache-dir`: no cache summary, same
 #      stdout.
+#   5. Relabel every warm segment's lines `"v":2`, as an older build's
+#      would read: they count as stale, not corrupt — no segment is
+#      reported corrupted, the run serves 0 hits, and stdout still diffs
+#      clean.
 #
 # Usage: scripts/cache_smoke.sh   (binary must already be built:
 #        cargo build --release -p hbm-bench --bin repro)
@@ -70,5 +74,17 @@ if grep -q 'hbm-cache:' "$WORK/nocache.err"; then
   echo "--no-cache still printed a cache summary"; exit 1
 fi
 diff -u "$WORK/cold.json" "$WORK/nocache.json" || { echo "uncached stdout diverged"; exit 1; }
+
+echo "== older kernel version: stale, never corrupt"
+rm "$SEG"  # the segment step 2 damaged
+grep -q '^{"v":3,' "$CACHE"/*.jsonl || { echo "no version-3 line to relabel"; exit 1; }
+sed -i 's/^{"v":3,/{"v":2,/' "$CACHE"/*.jsonl
+"$REPRO" fig4 --json --quick --cache-dir "$CACHE" > "$WORK/stale.json" 2> "$WORK/stale.err"
+cat "$WORK/stale.err"
+if grep -q 'skipping corrupted segment' "$WORK/stale.err"; then
+  echo "an old-version segment was reported corrupted"; exit 1
+fi
+[ "$(hits_of "$WORK/stale.err")" -eq 0 ] || { echo "an old-version entry was served"; exit 1; }
+diff -u "$WORK/cold.json" "$WORK/stale.json" || { echo "stale-version stdout diverged"; exit 1; }
 
 echo "cache smoke: OK"

@@ -203,7 +203,11 @@ fn rows_cached_with_per_master_stats_still_hit() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let fresh = bytes(&measure(&cfg, wl, fid.warmup, fid.cycles));
-    assert!(line.len() > 5 * fresh.len(), "the old line carries 32 masters' stats");
+    let old: Value = serde_json::from_str(&line).unwrap();
+    assert!(
+        matches!(old.get("m").and_then(|m| m.get("per_master")), Some(Value::Seq(s)) if s.len() == 32),
+        "the old line carries 32 masters' stats"
+    );
     assert_eq!((snap.hits, snap.misses, snap.disk_segments_skipped), (1, 0, 0));
     assert_eq!(bytes(&got), fresh, "a row read from the old layout must match a fresh run");
 }
