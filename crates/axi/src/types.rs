@@ -80,9 +80,20 @@ impl Dir {
     pub const BOTH: [Dir; 2] = [Dir::Read, Dir::Write];
 }
 
-/// Validated AXI3 burst length (1..=16 beats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// Validated AXI3 burst length (1..=16 beats), or AXI4 (1..=128) through
+/// [`BurstLen::new_axi4`]. It decodes through `new_axi4`, so a length
+/// from outside the program is a legal burst or an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct BurstLen(u8);
+
+impl<'de> Deserialize<'de> for BurstLen {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<BurstLen, D::Error> {
+        let beats = u8::deserialize(d)?;
+        BurstLen::new_axi4(beats).ok_or_else(|| {
+            serde::de::Error::custom(format_args!("burst length {beats} is not 1..=128"))
+        })
+    }
+}
 
 impl BurstLen {
     /// Creates an AXI3 burst length, returning `None` outside `1..=16`.
@@ -179,6 +190,16 @@ mod tests {
         assert_eq!(BurstLen::of_axi4(128).bytes(), 4096);
         // AXI3 lengths are a subset.
         assert_eq!(BurstLen::of_axi4(16).beats(), BurstLen::of(16).beats());
+    }
+
+    #[test]
+    fn burst_len_decodes_only_legal_lengths() {
+        let decode = |v: u64| serde::value::from_value::<BurstLen>(serde::value::Value::U64(v));
+        assert_eq!(decode(16).unwrap(), BurstLen::of(16));
+        assert_eq!(decode(128).unwrap(), BurstLen::of_axi4(128));
+        for illegal in [0, 129, 257] {
+            assert!(decode(illegal).is_err(), "burst length {illegal} decoded");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Criterion microbenches of the monolithic fabrics' cycle path: offers,
+//! Criterion microbenches of the 32×32 fabrics' cycle path: offers,
 //! `tick` arbitration (forward grants and return-path picks), port
 //! reflection, and completion delivery — the work `repro profile`
 //! reports as the fabric-tick phase, isolated from the memory side.
@@ -14,15 +14,16 @@
 //!   16 rotating IDs: all-to-all contention on both arbitration paths
 //!   and, on the MAO, deep VOQ windows of mixed masters.
 //!
-//! Fabrics: the MAO at one and two network stages and the full crossbar,
-//! 32 masters × 32 ports each. Run these when touching the arbitration
-//! in `hbm_mao::network` or `hbm_fabric::fullxbar`.
+//! Fabrics: the MAO at one and two network stages and the full crossbar
+//! (the stock switch model built as one 32×32 switch), 32 masters × 32
+//! ports each. Run these when touching the arbitration in
+//! `hbm_mao::network` or `hbm_fabric::shard`.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hbm_axi::{AxiId, BurstLen, Completion, Cycle, Dir, MasterId, PortId, TxnBuilder};
-use hbm_fabric::{FullCrossbarFabric, Interconnect};
+use hbm_fabric::{FabricConfig, Interconnect, XilinxFabric};
 use hbm_mao::{MaoConfig, MaoFabric};
 
 const CYCLES: Cycle = 4096;
@@ -105,8 +106,9 @@ fn bench_fabric_tick(c: &mut Criterion) {
                 b.iter(|| black_box(drive(&mut MaoFabric::new(cfg), shape)))
             });
         }
+        let xbar = FabricConfig::full_crossbar(N, PORT_CAPACITY);
         g.bench_function(BenchmarkId::new("crossbar", shape.name()), |b| {
-            b.iter(|| black_box(drive(&mut FullCrossbarFabric::new(N, PORT_CAPACITY, 6, 8), shape)))
+            b.iter(|| black_box(drive(&mut XilinxFabric::new(xbar), shape)))
         });
     }
     g.finish();

@@ -5,10 +5,8 @@
 //! ```text
 //! repro [EXPERIMENT ...] [--quick] [--fidelity TIER] [--adaptive]
 //!       [--json] [--smoke] [--jobs N] [--cache-dir DIR] [--no-cache]
-//!       [--metrics]
 //! repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--cache-dir DIR]
-//!             [--no-cache] [--metrics] [--metrics-addr HOST:PORT]
-//!             [--span-log FILE]
+//!             [--no-cache] [--metrics-addr HOST:PORT] [--span-log FILE]
 //! repro xvalidate [--quick] [--json] [--smoke] [--out PATH] [--jobs N]
 //!
 //! EXPERIMENT: fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 table5
@@ -39,11 +37,6 @@
 //! --no-cache: force the result cache off, overriding --cache-dir and
 //!             HBM_CACHE_DIR. For `serve`, disables the memory-tier
 //!             cache the daemon otherwise enables by default.
-//! --metrics:  enable the workspace metric registry for this run (same
-//!             as HBM_METRICS=1); counters/histograms accumulate but are
-//!             only visible through the serve `metrics` verb or
-//!             `--metrics-addr` — for one-shot runs this mainly matters
-//!             for overhead testing.
 //! ```
 //!
 //! `trace`, `profile`, and `xvalidate` are not part of `all`: they
@@ -90,20 +83,18 @@ const EXPERIMENTS: &str = "fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 table4 ta
 
 const USAGE: &str = "\
 usage: repro [EXPERIMENT ...] [--quick] [--fidelity quick|full|analytical] [--adaptive]
-             [--json] [--smoke] [--jobs N] [--cache-dir DIR] [--no-cache] [--metrics]
-             [--out PATH]
+             [--json] [--smoke] [--jobs N] [--cache-dir DIR] [--no-cache] [--out PATH]
        repro serve [--addr HOST:PORT] [--queue N] [--jobs N] [--cache-dir DIR]
-             [--no-cache] [--metrics] [--metrics-addr HOST:PORT] [--span-log FILE]";
+             [--no-cache] [--metrics-addr HOST:PORT] [--span-log FILE]";
 
 /// The flags the experiments take. A trailing `=` marks a flag that
 /// takes a value, given as the next argument or after `=`.
-const EXPERIMENT_FLAGS: [&str; 10] = [
+const EXPERIMENT_FLAGS: [&str; 9] = [
     "--quick",
     "--json",
     "--smoke",
     "--adaptive",
     "--no-cache",
-    "--metrics",
     "--fidelity=",
     "--jobs=",
     "--cache-dir=",
@@ -111,9 +102,8 @@ const EXPERIMENT_FLAGS: [&str; 10] = [
 ];
 
 /// The flags `serve` takes, marked as in [`EXPERIMENT_FLAGS`].
-const SERVE_FLAGS: [&str; 8] = [
+const SERVE_FLAGS: [&str; 7] = [
     "--no-cache",
-    "--metrics",
     "--jobs=",
     "--cache-dir=",
     "--addr=",
@@ -396,9 +386,6 @@ fn main() {
     let json = cli.has("--json");
     let smoke = cli.has("--smoke");
     let no_cache = cli.has("--no-cache");
-    if cli.has("--metrics") {
-        hbm_core::metrics::set_enabled(true);
-    }
     let jobs_value = cli.value("--jobs").map(parse_jobs_or_die);
     let fidelity_value = cli.value("--fidelity").map(parse_fidelity_or_die);
     let cache_dir = cli.value("--cache-dir");

@@ -32,6 +32,9 @@ fn unknown_flags_exit_2_with_usage() {
         &["latency", "--jsn"],
         &["serve", "--adr", "127.0.0.1:0"],
         &["fig4", "--quick=1"],
+        // The registry is the serve daemon's; no one-shot run reads it.
+        &["table3", "--metrics"],
+        &["serve", "--metrics"],
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, 2, "`repro {}` must exit 2; stderr: {stderr}", args.join(" "));
@@ -69,7 +72,6 @@ fn every_documented_experiment_flag_parses() {
         "--json",
         "--smoke",
         "--adaptive",
-        "--metrics",
         "--fidelity",
         "analytical",
         "--jobs",
@@ -95,7 +97,7 @@ fn every_documented_serve_flag_parses() {
     let spans = dir.join("spans.jsonl");
     let cache = dir.join("cache");
     let mut child = repro()
-        .args(["serve", "--addr", "127.0.0.1:0", "--queue=8", "--jobs", "1", "--metrics"])
+        .args(["serve", "--addr", "127.0.0.1:0", "--queue=8", "--jobs", "1"])
         .args(["--metrics-addr", "127.0.0.1:0", "--no-cache"])
         .arg(format!("--cache-dir={}", cache.display()))
         .arg("--span-log")

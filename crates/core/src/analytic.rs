@@ -55,7 +55,7 @@ pub const CALIBRATION_VERSION: u32 = 1;
 pub enum FabricClass {
     /// 1:1 direct port mapping.
     Direct,
-    /// Monolithic 32×32 crossbar.
+    /// The full crossbar: the stock switch model as one 32×32 switch.
     FullCrossbar,
     /// Segmented Xilinx switch network (stock or tweaked).
     Xilinx,

@@ -1033,6 +1033,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A current-version line whose row holds a count too wide for its
+    /// field (a bucket of 2^32 + 1, which a truncating decode reads as 1)
+    /// is corrupt: it never serves, and its segment is skipped.
+    #[test]
+    fn an_out_of_range_count_corrupts_its_segment() {
+        let dir = tmp_dir("wide");
+        let (cfg, wl) = point(3);
+        let fp = fingerprint(&cfg, &wl, fid());
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = measure(&cfg, wl, 100, 300);
+        let rec = DiskRecord { v: SIM_KERNEL_VERSION, fp: fp.to_string(), m };
+        let line = serde_json::to_string(&rec).unwrap();
+        let wide = line.replacen("\"buckets\":[0,", "\"buckets\":[4294967297,", 1);
+        assert_ne!(wide, line, "the row has a bucket to widen");
+        std::fs::write(dir.join("seg-wide.jsonl"), format!("{wide}\n")).unwrap();
+
+        let cache = ResultCache::with_dir(&dir);
+        assert!(cache.get(fp).is_none(), "a row with an out-of-range count must not hit");
+        let snap = cache.snapshot();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((snap.disk_segments_skipped, snap.disk_segments_loaded), (1, 0));
+    }
+
     /// A line written under version 2, in that version's row encoding
     /// (`f64` latency sums, 24 buckets), counts as stale, not corrupt,
     /// and so does a version-2 line whose row does not decode at all.

@@ -22,7 +22,7 @@
 //! keeps (recorded once per *measurement*, see `measure::measure`) or
 //! produced by the separately-gated phase profiler (`crate::profile`).
 //! When the registry is disabled ([`enabled`] is `false`, the default
-//! unless `HBM_METRICS=1`), those per-measurement call sites skip
+//! outside the serve daemon), those per-measurement call sites skip
 //! entirely, so a run with metrics off executes the exact same kernel
 //! instructions as before this module existed. The telemetry ON≡OFF
 //! byte-identity proptests (`tests/telemetry_equivalence.rs`) hold
@@ -48,30 +48,20 @@ use hbm_axi::Hist;
 
 // ------------------------------------------------------------- global gate
 
-static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-fn enabled_flag() -> &'static AtomicBool {
-    ENABLED.get_or_init(|| {
-        let on = std::env::var("HBM_METRICS").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        });
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether telemetry call sites should record. Defaults to off (so
-/// library users pay nothing) unless `HBM_METRICS=1`; `repro --metrics`
-/// and the serve daemon flip it on via [`set_enabled`].
+/// Whether telemetry call sites should record. Off by default, so
+/// library users and one-shot runs pay nothing; the serve daemon and
+/// `repro profile`'s observer pairs turn it on via [`set_enabled`].
 #[inline]
 pub fn enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns telemetry recording on or off process-wide. Instrument
 /// *handles* are unaffected — only gated call sites check this.
 pub fn set_enabled(on: bool) {
-    enabled_flag().store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // ------------------------------------------------------------ instruments

@@ -2,8 +2,7 @@
 
 use hbm_axi::{ClockDomain, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 use hbm_fabric::{
-    DirectFabric, FabricConfig, FabricStats, FullCrossbarFabric, Interconnect, Retry, SwitchShard,
-    XilinxFabric,
+    DirectFabric, FabricConfig, FabricStats, Interconnect, Retry, SwitchShard, XilinxFabric,
 };
 use hbm_mao::{MaoConfig, MaoFabric};
 use hbm_mem::{BankPool, BanksViewMut, HbmConfig, MemStats, MemoryController};
@@ -40,9 +39,12 @@ pub enum FabricKind {
     XilinxTweaked(XilinxTweaks),
     /// The Memory Access Optimizer.
     Mao(MaoConfig),
-    /// A hypothetical monolithic 32×32 crossbar: no lateral buses, but
-    /// the contiguous address map and AXI ID stalls of the stock fabric
-    /// (isolates the topology adaption from the MAO's other two).
+    /// A hypothetical 32×32 crossbar: the stock switch network built as
+    /// one switch holding every master and pseudo-channel
+    /// ([`FabricConfig::full_crossbar`]), so no lateral bus exists, with
+    /// the stock fabric's contiguous address map, AXI ID stalls and
+    /// round-robin grants (isolates the topology adaption from the MAO's
+    /// other two).
     FullCrossbar,
     /// Direct 1:1 port mapping (single-channel only).
     Direct,
@@ -121,9 +123,10 @@ impl SystemConfig {
                 mc.port_capacity = self.hbm.pch_capacity;
                 Box::new(MaoFabric::new(mc))
             }
-            FabricKind::FullCrossbar => {
-                Box::new(FullCrossbarFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 6, 8))
-            }
+            FabricKind::FullCrossbar => Box::new(XilinxFabric::new(FabricConfig::full_crossbar(
+                self.hbm.num_pch,
+                self.hbm.pch_capacity,
+            ))),
             FabricKind::Direct => {
                 Box::new(DirectFabric::new(self.hbm.num_pch, self.hbm.pch_capacity, 4, 8))
             }
@@ -552,9 +555,10 @@ impl HbmSystem {
     /// bit-for-bit.
     ///
     /// A monolithic fabric is one domain with no lateral boundary, and
-    /// so is a sharded one whose traffic can never cross a lateral bus
-    /// (every source port-affine, each shard owning its own masters'
-    /// ports end-to-end): there the horizon clamp is dropped and domains
+    /// so is a sharded one of a single shard (the full crossbar), or one
+    /// whose traffic can never cross a lateral bus (every source
+    /// port-affine, each shard owning its own masters' ports
+    /// end-to-end): there the horizon clamp is dropped and domains
     /// sprint straight to the deadline.
     fn conduct(&mut self, budget: Cycle, drain: bool) -> bool {
         // Wakes are only kept by this kernel; the reference step may
@@ -563,11 +567,13 @@ impl HbmSystem {
         self.port_wake.fill(0);
         let prof = profile::active();
         let layout = self.fabric.shard_layout();
-        // Anti-hang guard only: `validate()` rejects hop latencies < 1.
+        // Anti-hang guard only: a lateral hop takes at least one cycle.
         let lag = layout.map_or(1, |l| l.sync_lag.max(1));
         let deadline = self.now.saturating_add(budget);
         let lateral_free = layout.is_none_or(|l| {
-            l.masters_per_shard == l.ports_per_shard && self.gens.iter().all(|g| g.port_affine())
+            l.shards == 1
+                || (l.masters_per_shard == l.ports_per_shard
+                    && self.gens.iter().all(|g| g.port_affine()))
         });
         let domains = layout.map_or(1, |l| l.shards);
         let mut last_step: Vec<Option<Cycle>> = vec![None; domains];

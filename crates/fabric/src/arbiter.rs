@@ -1,7 +1,8 @@
 //! Round-robin arbitration over candidate bitmasks.
 //!
-//! The monolithic fabrics (the full crossbar here, the MAO in `hbm-mao`)
-//! arbitrate every output among up to `n` inputs once per cycle. Instead
+//! The switch shards (a mini switch of the segmented network, or the full
+//! crossbar as one 32×32 switch) and the MAO in `hbm-mao` arbitrate
+//! every output among up to `n` inputs once per cycle. Instead
 //! of walking the inputs from each output's round-robin pointer and
 //! re-examining every input's head per output, a tick first routes each
 //! ready head once, setting its input's bit in the destination output's

@@ -12,6 +12,10 @@
 //!   produce the paper's headline pathologies: hot-spot collapse
 //!   (Fig. 3b), rotation-offset throughput loss (Fig. 4), and
 //!   high-variance latency under cross-channel traffic (Table II).
+//!   Built as one switch holding every master and pseudo-channel
+//!   ([`FabricConfig::full_crossbar`]), the same model is the full
+//!   crossbar of the MAO feature decomposition: no lateral bus, and
+//!   everything else as on the stock switch.
 //! * [`DirectFabric`] — the 1:1 port mapping used by Single-Channel
 //!   patterns (no global addressing, no interference).
 //!
@@ -53,7 +57,6 @@ pub mod addressmap;
 pub mod arbiter;
 pub mod difftest;
 pub mod direct;
-pub mod fullxbar;
 mod idtrack;
 pub mod link;
 pub mod shard;
@@ -63,7 +66,6 @@ pub mod xilinx;
 pub use addressmap::{AddressMap, ContiguousMap};
 pub use arbiter::RequestMasks;
 pub use direct::DirectFabric;
-pub use fullxbar::FullCrossbarFabric;
 pub use link::{horizon, Flit, SerialLink};
 pub use shard::{LateralRx, LateralTx, SwitchShard};
 pub use stats::{FabricStats, LinkStats};

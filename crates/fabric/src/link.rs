@@ -81,7 +81,14 @@ impl<T> SerialLink<T> {
     /// while the queue is full (only a pop frees a slot).
     #[inline]
     pub fn send_ready_at(&self, now: Cycle) -> Option<Cycle> {
-        self.q.can_push().then(|| now.max(self.busy_until.ceil() as Cycle))
+        (!self.is_full()).then(|| now.max(self.busy_until.ceil() as Cycle))
+    }
+
+    /// `true` while every slot of the queue is taken, in flight or
+    /// waiting: no send succeeds until a pop.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        !self.q.can_push()
     }
 
     /// The retry hint for an offer this link just turned away at `now`:

@@ -8,7 +8,8 @@
 //! its master ingress/egress links, its pseudo-channel links, the
 //! round-robin arbitration state, and the per-master AXI ID tracker —
 //! and communicates with adjacent shards *only* through typed
-//! [`LateralTx`]/[`LateralRx`] port pairs.
+//! [`LateralTx`]/[`LateralRx`] port pairs. A fabric of one shard — the
+//! full crossbar, one 32×32 switch — has no lateral port at all.
 //!
 //! ## The lateral-port contract
 //!
@@ -61,7 +62,9 @@ use crate::arbiter::RequestMasks;
 use crate::idtrack::IdTracker;
 use crate::link::{Flit, SerialLink};
 use crate::stats::LinkStats;
-use crate::xilinx::FabricConfig;
+use crate::xilinx::{
+    FabricConfig, HOP_LATENCY, INGRESS_CAPACITY, LATERAL_CAPACITY, OUT_CAPACITY, PORT_RATE,
+};
 use crate::Retry;
 
 /// Sender endpoint of a lateral channel: one direction of one lateral bus
@@ -267,7 +270,8 @@ pub fn reconcile(tx: &mut LateralTx, rx: &mut LateralRx) -> (Cycle, Cycle) {
 /// domain: four master ports, four pseudo-channel ports, the local 4×4
 /// crossbar (round-robin arbitration with dead beats on grant switches),
 /// the per-master AXI ID tracker, and the shard's endpoints of the
-/// lateral channels towards each neighbour.
+/// lateral channels towards each neighbour. The full crossbar is one
+/// shard holding every master and port, with no lateral channel.
 ///
 /// All port indices on the shard API are *local* (`0..masters_per_switch`
 /// / `0..ports_per_switch`), except [`SwitchShard::offer_request`], which
@@ -317,61 +321,38 @@ impl SwitchShard {
         let mps = cfg.masters_per_switch;
         let pps = cfg.ports_per_switch;
         let b = cfg.lateral_buses;
-        let mk_lat = || {
-            LateralTx::new(cfg.lateral_rate, cfg.dead_beats, cfg.lateral_capacity, cfg.hop_latency)
+        let mk_lat =
+            || LateralTx::new(cfg.lateral_rate, cfg.dead_beats, LATERAL_CAPACITY, HOP_LATENCY);
+        let mk_rx = || LateralRx::new(LATERAL_CAPACITY);
+        let link = |dead: f64, capacity: usize, latency: Cycle| {
+            SerialLink::new(PORT_RATE, dead, capacity, latency)
         };
         let has_east = s + 1 < cfg.num_switches;
         let has_west = s > 0;
-        let n_in = mps + pps + (has_west as usize + has_east as usize) * 2 * b;
-        let n_out = mps + pps + (has_west as usize + has_east as usize) * 2 * b;
+        let lateral = |present: bool| if present { 2 * b } else { 0 };
+        // As many outputs as inputs: one per master, port and lateral
+        // channel end.
+        let n_slots = mps + pps + lateral(has_west) + lateral(has_east);
         SwitchShard {
             s,
             mps,
             pps,
             b,
             map: ContiguousMap::new(cfg.num_ports(), cfg.port_capacity),
-            master_in: (0..mps)
-                .map(|_| {
-                    SerialLink::new(cfg.port_rate, 0.0, cfg.ingress_capacity, cfg.ingress_latency)
-                })
-                .collect(),
-            mc_in: (0..pps)
-                .map(|_| SerialLink::new(cfg.port_rate, 0.0, cfg.out_capacity, cfg.mc_link_latency))
-                .collect(),
+            master_in: (0..mps).map(|_| link(0.0, INGRESS_CAPACITY, cfg.ingress_latency)).collect(),
+            mc_in: (0..pps).map(|_| link(0.0, OUT_CAPACITY, cfg.mc_completion_latency)).collect(),
             mc_out: (0..pps)
-                .map(|_| {
-                    SerialLink::new(
-                        cfg.port_rate,
-                        cfg.dead_beats,
-                        cfg.out_capacity,
-                        cfg.mc_link_latency,
-                    )
-                })
+                .map(|_| link(cfg.dead_beats, OUT_CAPACITY, cfg.mc_request_latency))
                 .collect(),
             master_out: (0..mps)
-                .map(|_| {
-                    SerialLink::new(
-                        cfg.port_rate,
-                        cfg.dead_beats,
-                        cfg.out_capacity,
-                        cfg.egress_latency,
-                    )
-                })
+                .map(|_| link(cfg.dead_beats, OUT_CAPACITY, cfg.egress_latency))
                 .collect(),
-            east_tx: if has_east { (0..2 * b).map(|_| mk_lat()).collect() } else { Vec::new() },
-            west_tx: if has_west { (0..2 * b).map(|_| mk_lat()).collect() } else { Vec::new() },
-            west_rx: if has_west {
-                (0..2 * b).map(|_| LateralRx::new(cfg.lateral_capacity)).collect()
-            } else {
-                Vec::new()
-            },
-            east_rx: if has_east {
-                (0..2 * b).map(|_| LateralRx::new(cfg.lateral_capacity)).collect()
-            } else {
-                Vec::new()
-            },
-            rr: vec![0; n_out],
-            cand: RequestMasks::new(n_out, n_in),
+            east_tx: (0..lateral(has_east)).map(|_| mk_lat()).collect(),
+            west_tx: (0..lateral(has_west)).map(|_| mk_lat()).collect(),
+            west_rx: (0..lateral(has_west)).map(|_| mk_rx()).collect(),
+            east_rx: (0..lateral(has_east)).map(|_| mk_rx()).collect(),
+            rr: vec![0; n_slots],
+            cand: RequestMasks::new(n_slots, n_slots),
             wake: 0,
             id_track: IdTracker::new(mps),
             id_stall_cycles: 0,
@@ -632,12 +613,13 @@ impl SwitchShard {
 
     /// [`tick`](Self::tick) that also lowers `masters[lm]` (`ports[lp]`)
     /// to `now` for every local master (port) whose ingress (completion)
-    /// link it pops: a rejected offer there may succeed from this cycle
-    /// on (see [`offer_request`](Self::offer_request) and
-    /// [`offer_completion`](Self::offer_completion)). Each
-    /// slice is empty or holds one entry per local master (port). A lent
-    /// `tracer` takes a lateral-hop stamp for every grant onto a lateral
-    /// bus.
+    /// link it pops while that link is full: an offer rejected there
+    /// with `Cycle::MAX` may succeed from this cycle on (see
+    /// [`offer_request`](Self::offer_request) and
+    /// [`offer_completion`](Self::offer_completion)); a pop from a link
+    /// with room frees no sleeping offer. Each slice is empty or holds
+    /// one entry per local master (port). A lent `tracer` takes a
+    /// lateral-hop stamp for every grant onto a lateral bus.
     pub fn tick_and_wake(
         &mut self,
         now: Cycle,
@@ -667,14 +649,17 @@ impl SwitchShard {
                     continue;
                 }
                 let slot = self.cand.pick(out_slot, self.rr[out_slot]).expect("non-empty row");
-                self.grant(now, slot, out_slot, tracer.as_deref_mut());
+                // Each link has one sender, whose offer sleeps on
+                // `Cycle::MAX` only while the link is full, so only a
+                // pop from a full link frees it.
                 let freed = if slot < self.mps {
-                    masters.get_mut(slot)
+                    masters.get_mut(slot).filter(|_| self.master_in[slot].is_full())
                 } else if slot < self.mps + self.pps {
-                    ports.get_mut(slot - self.mps)
+                    ports.get_mut(slot - self.mps).filter(|_| self.mc_in[slot - self.mps].is_full())
                 } else {
                     None
                 };
+                self.grant(now, slot, out_slot, tracer.as_deref_mut());
                 if let Some(wake) = freed {
                     *wake = (*wake).min(now);
                 }

@@ -27,6 +27,12 @@
 //! state and talks to its neighbours only through cycle-stamped lateral
 //! ports, which is what lets the simulation core advance switches
 //! independently between synchronisation horizons.
+//!
+//! Built as one switch holding every master and pseudo-channel
+//! ([`FabricConfig::full_crossbar`]), the network is the full crossbar
+//! of the MAO feature decomposition: no lateral bus exists, and the
+//! contiguous map, the same-ID stall and the arbitration are the stock
+//! switch's by construction.
 
 use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
 
@@ -34,6 +40,18 @@ use crate::addressmap::{AddressMap, ContiguousMap};
 use crate::shard::SwitchShard;
 use crate::stats::{FabricStats, LinkStats};
 use crate::{Interconnect, Retry, ShardLayout, ShardedFabric};
+
+/// Master and memory port rate in beats per accelerator cycle.
+pub(crate) const PORT_RATE: f64 = 1.0;
+/// Queue capacity of a master ingress link, in transactions.
+pub(crate) const INGRESS_CAPACITY: usize = 8;
+/// Queue capacity of a memory or master egress link, in flits.
+pub(crate) const OUT_CAPACITY: usize = 8;
+/// Queue capacity of a lateral channel, in flits.
+pub(crate) const LATERAL_CAPACITY: usize = 4;
+/// Pipeline latency of a lateral hop, in cycles: no state crosses a
+/// switch boundary in fewer.
+pub(crate) const HOP_LATENCY: Cycle = 2;
 
 /// Geometry and timing of the segmented switch network.
 #[derive(Debug, Clone, Copy)]
@@ -51,24 +69,18 @@ pub struct FabricConfig {
     /// make ≈ one beat per accelerator cycle the faithful effective rate
     /// (see DESIGN.md §3).
     pub lateral_rate: f64,
-    /// Master/memory port rate in beats per accelerator cycle (1.0).
-    pub port_rate: f64,
     /// Pipeline latency of a master ingress, in cycles.
     pub ingress_latency: Cycle,
     /// Pipeline latency of completion delivery to a master.
     pub egress_latency: Cycle,
-    /// Pipeline latency between a switch and its local memory ports.
-    pub mc_link_latency: Cycle,
-    /// Pipeline latency per lateral hop.
-    pub hop_latency: Cycle,
+    /// Pipeline latency of a request from a switch to a local memory
+    /// port.
+    pub mc_request_latency: Cycle,
+    /// Pipeline latency of a completion from a local memory port into
+    /// its switch.
+    pub mc_completion_latency: Cycle,
     /// Dead beats charged when an arbiter regrants to a new source.
     pub dead_beats: f64,
-    /// Queue capacity of master ingress links (transactions).
-    pub ingress_capacity: usize,
-    /// Queue capacity of lateral links (flits).
-    pub lateral_capacity: usize,
-    /// Queue capacity of memory/master egress links (flits).
-    pub out_capacity: usize,
     /// Capacity per pseudo-channel in bytes (for the address map).
     pub port_capacity: u64,
 }
@@ -83,16 +95,33 @@ impl FabricConfig {
             ports_per_switch: 4,
             lateral_buses: 2,
             lateral_rate: 1.0,
-            port_rate: 1.0,
             ingress_latency: 4,
             egress_latency: 4,
-            mc_link_latency: 3,
-            hop_latency: 2,
+            mc_request_latency: 3,
+            mc_completion_latency: 3,
             dead_beats: 2.0,
-            ingress_capacity: 8,
-            lateral_capacity: 4,
-            out_capacity: 8,
             port_capacity: 256 << 20,
+        }
+    }
+
+    /// The full-crossbar ablation: one switch joining all `num_pch`
+    /// masters and pseudo-channels of `port_capacity` bytes, so no
+    /// lateral bus exists, and everything else as on the stock switch:
+    /// the contiguous map, the AXI same-ID stall, and round-robin grants
+    /// with dead beats. A flat crossbar of this size needs a deeper
+    /// pipeline: 6 cycles before each arbiter and 1 after it, on the
+    /// request and the completion path alike.
+    pub fn full_crossbar(num_pch: usize, port_capacity: u64) -> FabricConfig {
+        FabricConfig {
+            num_switches: 1,
+            masters_per_switch: num_pch,
+            ports_per_switch: num_pch,
+            ingress_latency: 6,
+            egress_latency: 1,
+            mc_request_latency: 1,
+            mc_completion_latency: 6,
+            port_capacity,
+            ..FabricConfig::xcvu37p()
         }
     }
 
@@ -112,8 +141,8 @@ impl FabricConfig {
         assert!(
             self.ingress_latency >= 1
                 && self.egress_latency >= 1
-                && self.mc_link_latency >= 1
-                && self.hop_latency >= 1,
+                && self.mc_request_latency >= 1
+                && self.mc_completion_latency >= 1,
             "all link latencies must be ≥ 1 cycle (prevents same-cycle multi-hop)"
         );
     }
@@ -126,8 +155,8 @@ impl FabricConfig {
 /// pseudo-channel links, and the local crossbar's arbitration state;
 /// shards exchange flits only through cycle-stamped
 /// [`LateralTx`](crate::shard::LateralTx)/[`LateralRx`](crate::shard::LateralRx)
-/// channel pairs whose data *and* queue credits are delayed by
-/// `hop_latency`. Stepped sequentially, [`tick`](Interconnect::tick)
+/// channel pairs whose data *and* queue credits are delayed by a lateral
+/// hop's latency. Stepped sequentially, [`tick`](Interconnect::tick)
 /// advances every shard and then [reconciles](ShardedFabric::reconcile)
 /// all boundaries; the wake-driven kernel in `hbm-core` instead advances
 /// each shard's execution domain on its own between
@@ -178,7 +207,7 @@ impl ShardedFabric for XilinxFabric {
             shards: self.cfg.num_switches,
             masters_per_shard: self.cfg.masters_per_switch,
             ports_per_shard: self.cfg.ports_per_switch,
-            sync_lag: self.cfg.hop_latency,
+            sync_lag: HOP_LATENCY,
         }
     }
 
@@ -421,7 +450,7 @@ mod tests {
         let mut b = TxnBuilder::new(MasterId(0));
         let done = reflect_until_drained(&mut f, vec![read_txn(&mut b, 0, 0)]);
         let (local, _) = done[0];
-        // 7 hops each way at hop_latency 2 ⇒ ≥ 28 cycles more.
+        // 7 hops each way at a hop latency of 2 ⇒ ≥ 28 cycles more.
         assert!(far >= local + 24, "far {far} local {local}");
     }
 
@@ -571,15 +600,91 @@ mod tests {
         assert_eq!(f.stats().ingress.flits, 0);
     }
 
+    /// The full crossbar: one 32×32 switch.
+    fn xbar() -> XilinxFabric {
+        XilinxFabric::new(FabricConfig::full_crossbar(32, 256 << 20))
+    }
+
+    #[test]
+    fn crossbar_routes_any_master_to_any_port() {
+        let mut f = xbar();
+        let mut b = TxnBuilder::new(MasterId(3));
+        let t = read_txn(&mut b, 29 * (256u64 << 20), 0);
+        assert!(f.offer_request(0, t).is_ok());
+        let mut arrived = None;
+        for now in 0..100 {
+            f.tick(now, None);
+            if let Some(t) = f.pop_request(now, PortId(29)) {
+                arrived = Some((now, t));
+                break;
+            }
+        }
+        let (cycle, t) = arrived.expect("request never arrived");
+        assert_eq!(t.master, MasterId(3));
+        // Flat latency: no hop count, unlike the segmented network.
+        assert!(cycle <= 10, "crossed in {cycle} cycles");
+        assert_eq!(f.stats().lateral_beats(), 0);
+    }
+
+    #[test]
+    fn crossbar_keeps_the_id_dest_stall() {
+        let mut f = xbar();
+        let mut b = TxnBuilder::new(MasterId(0));
+        let t0 = read_txn(&mut b, 0, 0);
+        let t1 = read_txn(&mut b, 256 << 20, 0);
+        assert!(f.offer_request(0, t0).is_ok());
+        assert!(f.offer_request(0, t1).is_err(), "no reorder buffers here");
+        assert_eq!(f.stats().id_stall_cycles, 1);
+    }
+
+    #[test]
+    fn crossbar_contiguous_map_still_hotspots() {
+        // The crossbar does not remap addresses: a 64 MiB buffer still
+        // lives entirely in PCH 0.
+        let f = xbar();
+        for addr in [0u64, 1 << 20, 63 << 20] {
+            assert_eq!(f.port_of(addr), PortId(0));
+        }
+    }
+
+    #[test]
+    fn crossbar_occupancy_follows_the_round_trip() {
+        let mut f = xbar();
+        assert_eq!(f.occupancy(), 0);
+        let mut b = TxnBuilder::new(MasterId(5));
+        let t = read_txn(&mut b, 20 * (256u64 << 20), 0);
+        assert!(f.offer_request(0, t).is_ok());
+        assert_eq!(f.occupancy(), 1, "request queued at ingress");
+        for now in 0..200 {
+            f.tick(now, None);
+            if let Some(t) = f.pop_request(now, PortId(20)) {
+                assert_eq!(f.occupancy(), 0, "request left, completion not yet offered");
+                let c = Completion { txn: t, produced_at: now };
+                f.offer_completion(now, PortId(20), c).unwrap();
+                assert_eq!(f.occupancy(), 1, "completion in flight");
+            }
+            if f.pop_completion(now, MasterId(5)).is_some() {
+                assert_eq!(f.occupancy(), 0, "drained after delivery");
+                assert!(f.drained());
+                return;
+            }
+            assert_eq!(f.occupancy(), 1, "exactly one flit in flight throughout");
+        }
+        panic!("round trip never completed");
+    }
+
     proptest! {
         /// The bitmask tick and its wake make exactly the linear scan's
         /// grants: every offer result, pop, stats snapshot and horizon
         /// agrees cycle by cycle, on one switch (no lateral buses), two,
-        /// and the stock eight, with one to three lateral buses.
+        /// and the stock eight, with one to three lateral buses; and on
+        /// one n×n switch at the full crossbar's latencies, at sizes
+        /// that need one and two mask words.
         #[test]
         fn tick_matches_reference_scan(
             switches in prop::sample::select(vec![1usize, 2, 8]),
             buses in 1usize..4,
+            n in prop::sample::select(vec![1usize, 3, 32, 80]),
             seed in any::<u64>(),
             num_ids in 1u8..5,
             offer in 32u32..256,
@@ -588,18 +693,20 @@ mod tests {
             drain in 16u32..256,
         ) {
             let cap = 1 << 20;
-            let cfg = FabricConfig {
+            let stock = FabricConfig {
                 num_switches: switches,
                 lateral_buses: buses,
                 port_capacity: cap,
                 ..FabricConfig::xcvu37p()
             };
-            let mut fast = XilinxFabric::new(cfg);
-            let mut reference = XilinxFabric::new(cfg);
             let traffic = DiffTraffic {
                 seed, cycles: 600, port_capacity: cap, num_ids, offer, hot, reflect, drain,
             };
-            run_pair(&mut fast, &mut reference, XilinxFabric::tick_reference, &traffic);
+            for cfg in [stock, FabricConfig::full_crossbar(n, cap)] {
+                let mut fast = XilinxFabric::new(cfg);
+                let mut reference = XilinxFabric::new(cfg);
+                run_pair(&mut fast, &mut reference, XilinxFabric::tick_reference, &traffic);
+            }
         }
     }
 }

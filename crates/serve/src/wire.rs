@@ -718,6 +718,20 @@ mod tests {
         server.shutdown();
     }
 
+    #[test]
+    fn an_illegal_burst_length_is_a_bad_spec_not_a_job() {
+        let (server, wire, addr) = start();
+        let mut client = Client::connect(&addr).unwrap();
+        let line = json!({ "verb": "submit", "spec": spec("bursts", 1) }).to_string();
+        assert!(line.contains("\"burst\":16"), "line: {line}");
+        // 257 would truncate to a legal 1-beat burst as a `u8`.
+        let reply = client.call_raw(&line.replace("\"burst\":16", "\"burst\":257")).unwrap();
+        assert!(reply.contains("bad spec"), "reply: {reply}");
+        assert_eq!(client.stats().unwrap().jobs_submitted, 0, "no job was created");
+        wire.stop();
+        server.shutdown();
+    }
+
     /// Writes `len` bytes of `x` and a newline on a raw connection and
     /// returns the connection's whole reply, read to EOF or, while the
     /// connection stays open, to the first reply line.

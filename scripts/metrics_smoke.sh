@@ -14,10 +14,10 @@
 #      phase-attribution self-consistency invariant (phase sums equal
 #      the measured loop time exactly) and the <5 %
 #      metrics-registry overhead budget.
-#   6. Metrics off must cost nothing observable: `--metrics` stdout is
-#      byte-identical to the plain run (recording never reaches the
-#      simulation; the off path is a single relaxed atomic load per
-#      record site, none of them inside the cycle loop).
+#
+# That recording never reaches the simulation is held by
+# `tests/telemetry_equivalence.rs`, which measures with the registry on
+# and off through `metrics::set_enabled`.
 #
 # Usage: scripts/metrics_smoke.sh   (binaries must already be built:
 #        cargo build --release -p hbm-bench --bin repro
@@ -120,12 +120,5 @@ echo "== repro profile --smoke (self-consistency + overhead budget)"
 "$REPRO" profile --smoke > "$WORK/profile.out"
 grep -q 'profile smoke: OK' "$WORK/profile.out" || { cat "$WORK/profile.out"; exit 1; }
 grep -q 'sum == total: true' "$WORK/profile.out" || { cat "$WORK/profile.out"; echo "missing consistency line"; exit 1; }
-
-echo "== metrics on/off stdout byte-identity"
-"$REPRO" fig4 --quick --json --no-cache > "$WORK/plain.json"
-"$REPRO" fig4 --quick --json --no-cache --metrics > "$WORK/metered.json"
-diff -u "$WORK/plain.json" "$WORK/metered.json" \
-  || { echo "--metrics changed the experiment output"; exit 1; }
-echo "   stdout byte-identical with metrics on"
 
 echo "metrics smoke: OK"

@@ -3,11 +3,13 @@
 //! The equivalence suites compare execution paths *within* one build, so
 //! a change to the fabrics' arbitration or to the reference step itself
 //! that moved every path the same way would pass them all. Two tests pin
-//! a dozen-odd measurements each byte-for-byte at a short window, so any
+//! their measurements byte-for-byte at a short window, so any
 //! change in which flit wins which grant shows up as a diff:
 //!
 //! - MAO and full crossbar: Fig. 6 reorder depths, the Table IV MAO
-//!   cells, a one-stage MAO, and the full crossbar at two burst lengths.
+//!   cells, a one-stage MAO, and the full crossbar: CCRA at two burst
+//!   lengths, then every pattern at each direction mix, dense bursts of
+//!   1 and 16 beats, and 1 and 32 outstanding transactions.
 //! - Xilinx switch and direct fabric: the points where most components
 //!   sit blocked or idle — the CCS hot spot, CCRA, lateral rotations,
 //!   SCRA at one outstanding transaction, SCS at burst length 1, and the
@@ -59,6 +61,26 @@ fn points() -> Vec<(String, SystemConfig, Workload)> {
     for bl in [2u8, 16] {
         let wl = Workload { burst: BurstLen::of(bl), ..Workload::ccra() };
         pts.push((format!("xbar/ccra/bl{bl}"), xbar.clone(), wl));
+    }
+    let patterns = [
+        ("scs", Workload::scs()),
+        ("ccs", Workload::ccs()),
+        ("scra", Workload::scra()),
+        ("ccra", Workload::ccra()),
+    ];
+    for (name, base) in patterns {
+        for (dir, rw) in
+            [("rd", RwRatio::READ_ONLY), ("wr", RwRatio::WRITE_ONLY), ("both", RwRatio::TWO_TO_ONE)]
+        {
+            for bl in [1u8, 16] {
+                for outstanding in [1usize, 32] {
+                    let burst = BurstLen::of(bl);
+                    let wl = Workload { rw, burst, stride: burst.bytes(), outstanding, ..base };
+                    let point = format!("xbar/{name}/{dir}/bl{bl}/out{outstanding}");
+                    pts.push((point, xbar.clone(), wl));
+                }
+            }
+        }
     }
     pts
 }
