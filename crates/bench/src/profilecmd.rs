@@ -184,8 +184,7 @@ fn tracer_rows(quick: bool) -> Vec<TracerRow> {
 }
 
 /// The whole suite as one JSON value (for `--json`). The kernel's
-/// `phase_ns` and `total_ns` stay at `scalar.*`, where CI's queue-ops
-/// share gate reads them.
+/// phase attribution sits at `scalar.*`.
 pub fn to_json(out: &ProfileOut) -> Value {
     let Value::Map(mut scalar) = out.report.to_json() else {
         unreachable!("PhaseReport::to_json returns a map");

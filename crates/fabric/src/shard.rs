@@ -54,11 +54,26 @@
 //! master, a reconcile that moves a flit or credit — and each lowers the
 //! wake. The wake feeds [`SwitchShard::next_event`], so a conductor's
 //! domain horizon skips the cycles in which heads sit blocked.
+//!
+//! ## Persistent masks
+//!
+//! The arbitration state lives from one tick to the next. An input whose
+//! head has arrived sits in its output's candidate row until a grant
+//! pops that head; a bit set records the non-empty rows. An input is
+//! *waiting* while it holds flits but its head is in no row: from the
+//! moment its queue turns non-empty (an accepted offer or completion
+//! offer, a reconcile into an empty receiver ring) or a grant leaves
+//! flits behind its head, until a tick routes the arrived head. A tick
+//! therefore routes only waiting inputs, grants only non-empty rows,
+//! and folds its wake from the waiting heads' stamps and the non-empty
+//! rows' send-ready cycles: it costs O(waiting inputs + outputs holding
+//! candidates), not O(inputs + outputs). A `debug_assert` compares the
+//! masks with a fresh scan of every input on every tick that runs.
 
 use hbm_axi::{Completion, Cycle, StampedRing, Tracer, Transaction};
 
 use crate::addressmap::{AddressMap, ContiguousMap};
-use crate::arbiter::RequestMasks;
+use crate::arbiter::{ones, BitSet, RequestMasks};
 use crate::idtrack::IdTracker;
 use crate::link::{Flit, SerialLink};
 use crate::stats::LinkStats;
@@ -304,9 +319,13 @@ pub struct SwitchShard {
     east_rx: Vec<LateralRx>,
     /// Round-robin pointer per output slot.
     rr: Vec<usize>,
-    /// Per output slot: the input slots whose ready head routes to it
-    /// (rebuilt by every tick that runs).
+    /// Per output slot: the input slots whose arrived head routes to it,
+    /// kept until a grant pops that head (see the module docs).
     cand: RequestMasks,
+    /// Output slots whose `cand` row holds an input.
+    rows: BitSet,
+    /// Input slots holding flits whose head is in no `cand` row yet.
+    waiting: BitSet,
     /// The earliest cycle the crossbar can next grant (see the module
     /// docs); [`tick`](SwitchShard::tick) returns at once before it.
     wake: Cycle,
@@ -353,6 +372,8 @@ impl SwitchShard {
             east_rx: (0..lateral(has_east)).map(|_| mk_rx()).collect(),
             rr: vec![0; n_slots],
             cand: RequestMasks::new(n_slots, n_slots),
+            rows: BitSet::new(n_slots),
+            waiting: BitSet::new(n_slots),
             wake: 0,
             id_track: IdTracker::new(mps),
             id_stall_cycles: 0,
@@ -370,6 +391,12 @@ impl SwitchShard {
     /// east senders and west senders.
     fn n_out(&self) -> usize {
         self.pps + self.mps + self.east_tx.len() + self.west_tx.len()
+    }
+
+    /// Input slot of the first west receiver; the east receivers follow
+    /// the west ones.
+    fn west_rx_base(&self) -> usize {
+        self.mps + self.pps
     }
 
     /// First lateral output slot; grants to slots at or beyond it cross a
@@ -540,7 +567,11 @@ impl SwitchShard {
         }
         let cost = txn.fwd_link_cycles();
         let (dir, id) = (txn.dir, txn.id.0);
+        let turned = link.is_empty();
         link.send(now, 0, cost, Flit::Req(txn));
+        if turned {
+            self.waiting.insert(lm);
+        }
         self.id_track.issue(lm, dir, id, port);
         // The flit arrives at least one cycle out (latencies are ≥ 1).
         self.wake = self.wake.min(now + 1);
@@ -585,7 +616,11 @@ impl SwitchShard {
             return Err((c, link.send_ready_at(now).unwrap_or(Cycle::MAX)));
         }
         let cost = c.txn.ret_link_cycles();
+        let turned = link.is_empty();
         link.send(now, 0, cost, Flit::Resp(c));
+        if turned {
+            self.waiting.insert(self.mps + lp);
+        }
         self.wake = self.wake.min(now + 1);
         Ok(())
     }
@@ -630,22 +665,28 @@ impl SwitchShard {
         if now < self.wake {
             return;
         }
-        // Two passes: pass 1 routes each ready input head exactly once
-        // into its output's candidate row; pass 2 grants each output the
-        // first candidate at or after its round-robin pointer. A head
-        // routes to one output, so no input can win twice in a cycle.
-        self.cand.clear_all();
-        let mut any = false;
-        for slot in 0..self.n_in() {
-            if let Some(head) = self.in_peek(slot, now) {
-                self.cand.set(self.route(slot, head), slot);
-                any = true;
+        // Two passes over the kept masks: pass 1 routes each waiting
+        // input whose head has arrived into its output's candidate row;
+        // pass 2 grants each non-empty row, in output order, the first
+        // candidate at or after its round-robin pointer. A head routes to
+        // one output, so no input can win twice in a cycle.
+        for w in 0..self.waiting.words() {
+            for slot in ones(self.waiting.word(w), 64 * w) {
+                if let Some(head) = self.in_peek(slot, now) {
+                    let out_slot = self.route(slot, head);
+                    self.cand.set(out_slot, slot);
+                    self.rows.insert(out_slot);
+                    self.waiting.remove(slot);
+                }
             }
         }
+        debug_assert!(self.masks_match_scan(now), "cycle {now}: kept masks differ from a scan");
         let mut granted = false;
-        if any {
-            for out_slot in 0..self.n_out() {
-                if self.cand.row_is_empty(out_slot) || !self.out_can_send(out_slot, now) {
+        // A grant changes only its own row, so each word's copy stays
+        // exact for the outputs after it.
+        for w in 0..self.rows.words() {
+            for out_slot in ones(self.rows.word(w), 64 * w) {
+                if !self.out_can_send(out_slot, now) {
                     continue;
                 }
                 let slot = self.cand.pick(out_slot, self.rr[out_slot]).expect("non-empty row");
@@ -669,10 +710,40 @@ impl SwitchShard {
         self.settle_wake(now, granted);
     }
 
-    /// Moves the head of input `slot` onto output `out_slot` and advances
-    /// the output's round-robin pointer past it.
+    /// `true` when the kept masks equal what routing every arrived head
+    /// afresh would build: each arrived head's input is in its route's
+    /// row and nowhere else, every other input holding flits waits, and
+    /// `rows` marks exactly the non-empty rows.
+    fn masks_match_scan(&self, now: Cycle) -> bool {
+        let mut arrived = 0;
+        for slot in 0..self.n_in() {
+            let kept = match self.in_peek(slot, now) {
+                Some(head) => {
+                    arrived += 1;
+                    self.cand.contains(self.route(slot, head), slot) && !self.waiting.contains(slot)
+                }
+                None => self.waiting.contains(slot) == self.in_ready_at(slot).is_some(),
+            };
+            if !kept {
+                return false;
+            }
+        }
+        self.cand.count_ones() == arrived
+            && (0..self.n_out()).all(|o| self.rows.contains(o) != self.cand.row_is_empty(o))
+    }
+
+    /// Moves the head of input `slot` onto output `out_slot`, takes it out
+    /// of the output's row (the input waits again if flits remain
+    /// behind it) and advances the output's round-robin pointer past it.
     fn grant(&mut self, now: Cycle, slot: usize, out_slot: usize, tracer: Option<&mut Tracer>) {
         let flit = self.in_pop(slot, now).expect("routed head vanished");
+        self.cand.clear(out_slot, slot);
+        if self.cand.row_is_empty(out_slot) {
+            self.rows.remove(out_slot);
+        }
+        if self.in_ready_at(slot).is_some() {
+            self.waiting.insert(slot);
+        }
         let cost = flit.cost_beats();
         if let Some(tr) = tracer {
             if out_slot >= self.lateral_out_base() {
@@ -688,27 +759,17 @@ impl SwitchShard {
     }
 
     /// Sets the wake after a tick at `now`: the next cycle after a grant;
-    /// otherwise every arrived head is blocked at its output, so the
-    /// earliest of the pending arrivals and the blocked outputs' own
+    /// otherwise every arrived head is blocked in a non-empty row and
+    /// every other input holding flits waits for its head, so the
+    /// earliest of the waiting heads' stamps and the non-empty rows'
     /// send-ready cycles.
     fn settle_wake(&mut self, now: Cycle, granted: bool) {
         self.wake = if granted {
             now + 1
         } else {
-            let mut wake = Cycle::MAX;
-            for slot in 0..self.n_in() {
-                let Some(t) = self.in_ready_at(slot) else {
-                    continue;
-                };
-                let t = if t > now {
-                    t
-                } else {
-                    let head = self.in_peek(slot, now).expect("arrived head");
-                    self.out_ready_at(self.route(slot, head), now + 1)
-                };
-                wake = wake.min(t);
-            }
-            wake
+            let arrivals = self.waiting.iter().map(|slot| self.in_ready_at(slot).expect("waits"));
+            let sends = self.rows.iter().map(|out_slot| self.out_ready_at(out_slot, now + 1));
+            arrivals.chain(sends).fold(Cycle::MAX, Cycle::min)
         };
     }
 
@@ -837,25 +898,38 @@ impl SwitchShard {
 
     /// Reconciles the boundary between `left` (shard `s`) and `right`
     /// (shard `s+1`): delivers both directions' outboxes and returns pop
-    /// credits.
+    /// credits. A receiver ring that turns non-empty marks its input slot
+    /// waiting.
     pub fn reconcile_boundary(left: &mut SwitchShard, right: &mut SwitchShard) {
         debug_assert_eq!(left.s + 1, right.s, "reconcile expects adjacent shards");
-        for (tx, rx) in left.east_tx.iter_mut().zip(right.west_rx.iter_mut()) {
+        let base = right.west_rx_base();
+        for (i, (tx, rx)) in left.east_tx.iter_mut().zip(right.west_rx.iter_mut()).enumerate() {
+            let turned = rx.is_empty();
             let (delivered, credited) = reconcile(tx, rx);
+            if turned && !rx.is_empty() {
+                right.waiting.insert(base + i);
+            }
             right.wake = right.wake.min(delivered);
             left.wake = left.wake.min(credited);
         }
-        for (tx, rx) in right.west_tx.iter_mut().zip(left.east_rx.iter_mut()) {
+        let base = left.west_rx_base() + left.west_rx.len();
+        for (i, (tx, rx)) in right.west_tx.iter_mut().zip(left.east_rx.iter_mut()).enumerate() {
+            let turned = rx.is_empty();
             let (delivered, credited) = reconcile(tx, rx);
+            if turned && !rx.is_empty() {
+                left.waiting.insert(base + i);
+            }
             left.wake = left.wake.min(delivered);
             right.wake = right.wake.min(credited);
         }
     }
 
     /// The linear round-robin scan the bitmask tick replaced, kept as the
-    /// oracle for `tick_matches_reference_scan`. It never skips; it
-    /// settles the wake only where [`tick`](Self::tick) would run, so a
-    /// tick skipped while a grant was possible shows up as a divergence.
+    /// oracle for `tick_matches_reference_scan`. It keeps no masks: each
+    /// cycle it reads every input's head afresh, and where
+    /// [`tick`](Self::tick) would run it settles the wake by a scan of
+    /// every input. It never skips, so a tick skipped while a grant was
+    /// possible shows up as a divergence.
     #[cfg(test)]
     pub(crate) fn tick_reference(&mut self, now: Cycle) {
         let n_in = self.n_in();
@@ -893,8 +967,23 @@ impl SwitchShard {
                 granted = true;
             }
         }
-        if granted || now >= self.wake {
-            self.settle_wake(now, granted);
+        if granted {
+            self.wake = now + 1;
+        } else if now >= self.wake {
+            let mut wake = Cycle::MAX;
+            for slot in 0..n_in {
+                let Some(t) = self.in_ready_at(slot) else {
+                    continue;
+                };
+                let t = if t > now {
+                    t
+                } else {
+                    let head = self.in_peek(slot, now).expect("arrived head");
+                    self.out_ready_at(self.route(slot, head), now + 1)
+                };
+                wake = wake.min(t);
+            }
+            self.wake = wake;
         }
     }
 }

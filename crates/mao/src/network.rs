@@ -14,14 +14,21 @@
 //! traffic, drastically lower and far more uniform latency under load.
 //!
 //! Both arbiters are round-robin and run in two passes each cycle
-//! (DESIGN.md §3.11). Every ready ingress head is routed once into its
-//! port's candidate bitmask, and each port grants the first candidate at
-//! or after its pointer. On the return path each master keeps a bitmask
-//! of the ports whose VOQ window — the first `VOQ_WINDOW` queued
-//! completions — holds one for it; a port's bits are recomputed after
-//! every pull from it, because the pull shifts its window.
+//! (DESIGN.md §3.11), on masks kept from one cycle to the next. Every
+//! arrived ingress head is routed once into its port's candidate
+//! bitmask, where it stays until a grant pops it, and each port holding
+//! candidates grants the first one at or after its pointer. On the
+//! return path each master keeps a bitmask of the ports whose VOQ window
+//! — the first `VOQ_WINDOW` queued completions — holds one for it. Each
+//! port remembers how many leading entries it has marked, so a cycle
+//! marks only the entries that arrived since the last; a pull re-marks
+//! its port, because it shifts the window. A cycle therefore touches
+//! only the heads and entries that arrive or leave and the outputs
+//! holding candidates; a `debug_assert` compares the masks with a fresh
+//! scan on every tick.
 
 use hbm_axi::{Addr, Completion, Cycle, MasterId, PortId, Tracer, Transaction};
+use hbm_fabric::arbiter::{ones, BitSet};
 use hbm_fabric::{
     horizon, AddressMap, FabricStats, Flit, Interconnect, RequestMasks, Retry, SerialLink,
 };
@@ -52,10 +59,24 @@ pub struct MaoFabric {
     rr_master: Vec<usize>,
     /// `log2(port_capacity)`: a physical address's port is a shift away.
     port_shift: u32,
-    /// Per port: the masters whose ready ingress head routes to it.
+    /// Per port: the masters whose arrived ingress head routes to it,
+    /// kept until a grant pops that head.
     fwd_cand: RequestMasks,
-    /// Per master: the ports whose VOQ window holds a completion for it.
+    /// Ports whose `fwd_cand` row holds a master.
+    fwd_rows: BitSet,
+    /// Masters whose ingress holds flits but whose head is in no
+    /// `fwd_cand` row yet.
+    fwd_waiting: BitSet,
+    /// Per master: the ports whose marked return entries hold a
+    /// completion for it.
     ret_cand: RequestMasks,
+    /// Masters whose `ret_cand` row holds a port.
+    ret_rows: BitSet,
+    /// Per port: how many leading return-queue entries are marked in
+    /// `ret_cand`, at most `VOQ_WINDOW`.
+    marked: Box<[usize]>,
+    /// Ports with an unmarked entry inside the VOQ window.
+    ret_waiting: BitSet,
     rob_stall_cycles: u64,
 }
 
@@ -78,7 +99,12 @@ impl MaoFabric {
             rr_master: vec![0; m],
             port_shift: cfg.port_capacity.trailing_zeros(),
             fwd_cand: RequestMasks::new(p, m),
+            fwd_rows: BitSet::new(p),
+            fwd_waiting: BitSet::new(m),
             ret_cand: RequestMasks::new(m, p),
+            ret_rows: BitSet::new(m),
+            marked: vec![0; p].into_boxed_slice(),
+            ret_waiting: BitSet::new(p),
             rob_stall_cycles: 0,
             cfg,
         }
@@ -99,21 +125,95 @@ impl MaoFabric {
         (addr / cap) as usize
     }
 
-    /// Sets (or clears) bit `p` in the return mask of every master with a
-    /// completion in port `p`'s VOQ window.
-    fn mark_window(&mut self, now: Cycle, p: usize, on: bool) {
-        for idx in 0..VOQ_WINDOW {
-            let Some(Flit::Resp(c)) = self.ret_in[p].peek_at(now, idx) else {
-                // Ready entries form a prefix: the first miss ends it.
+    /// The master a completion in port `p`'s return queue at `idx` is
+    /// addressed to, if that entry has arrived.
+    fn ret_master(&self, now: Cycle, p: usize, idx: usize) -> Option<usize> {
+        match self.ret_in[p].peek_at(now, idx) {
+            Some(Flit::Resp(c)) => Some(c.txn.master.idx()),
+            _ => None,
+        }
+    }
+
+    /// Marks port `p`'s return entries from its first unmarked one, while
+    /// they have arrived and lie inside the VOQ window: sets bit `p` in
+    /// their masters' return masks. Arrived entries form a prefix, so the
+    /// first miss ends it; the port waits while an unmarked entry is
+    /// left inside the window.
+    fn extend_marks(&mut self, now: Cycle, p: usize) {
+        let mut k = self.marked[p];
+        while k < VOQ_WINDOW {
+            let Some(m) = self.ret_master(now, p, k) else {
                 break;
             };
-            let m = c.txn.master.idx();
-            if on {
-                self.ret_cand.set(m, p);
-            } else {
-                self.ret_cand.clear(m, p);
+            self.ret_cand.set(m, p);
+            self.ret_rows.insert(m);
+            k += 1;
+        }
+        self.marked[p] = k;
+        if k < VOQ_WINDOW.min(self.ret_in[p].len()) {
+            self.ret_waiting.insert(p);
+        } else {
+            self.ret_waiting.remove(p);
+        }
+    }
+
+    /// Clears bit `p` from the return mask of every master with a marked
+    /// entry at port `p`.
+    fn clear_marks(&mut self, now: Cycle, p: usize) {
+        for idx in 0..self.marked[p] {
+            let m = self.ret_master(now, p, idx).expect("marked entries have arrived");
+            self.ret_cand.clear(m, p);
+            if self.ret_cand.row_is_empty(m) {
+                self.ret_rows.remove(m);
             }
         }
+        self.marked[p] = 0;
+    }
+
+    /// `true` when the kept masks equal what a fresh scan of every
+    /// ingress head and every VOQ window at `now` would build.
+    fn masks_match_scan(&self, now: Cycle) -> bool {
+        let mut arrived = 0;
+        for (m, link) in self.ingress.iter().enumerate() {
+            let kept = match link.peek(now) {
+                Some(Flit::Req(t)) => {
+                    arrived += 1;
+                    let p = (t.addr >> self.port_shift) as usize;
+                    self.fwd_cand.contains(p, m) && !self.fwd_waiting.contains(m)
+                }
+                _ => self.fwd_waiting.contains(m) != link.is_empty(),
+            };
+            if !kept {
+                return false;
+            }
+        }
+        let rows_match = |cand: &RequestMasks, rows: &BitSet, n: usize| {
+            (0..n).all(|r| rows.contains(r) != cand.row_is_empty(r))
+        };
+        let mut pairs = 0;
+        for p in 0..self.cfg.num_ports {
+            let mut window = [0; VOQ_WINDOW];
+            let mut k = 0;
+            while k < VOQ_WINDOW {
+                let Some(m) = self.ret_master(now, p, k) else {
+                    break;
+                };
+                window[k] = m;
+                k += 1;
+            }
+            let window = &window[..k];
+            if self.marked[p] != k
+                || self.ret_waiting.contains(p) != (k < VOQ_WINDOW.min(self.ret_in[p].len()))
+                || !window.iter().all(|&m| self.ret_cand.contains(m, p))
+            {
+                return false;
+            }
+            pairs += (0..k).filter(|&i| !window[..i].contains(&window[i])).count();
+        }
+        self.fwd_cand.count_ones() == arrived
+            && self.ret_cand.count_ones() == pairs
+            && rows_match(&self.fwd_cand, &self.fwd_rows, self.cfg.num_ports)
+            && rows_match(&self.ret_cand, &self.ret_rows, self.cfg.num_masters)
     }
 }
 
@@ -153,6 +253,9 @@ impl Interconnect for MaoFabric {
         );
         self.rob[m].reserve(phys.dir, phys.id.0, phys.seq);
         let cost = phys.fwd_link_cycles();
+        if self.ingress[m].is_empty() {
+            self.fwd_waiting.insert(m);
+        }
         self.ingress[m].send(now, 0, cost, Flit::Req(phys));
         Ok(())
     }
@@ -177,12 +280,18 @@ impl Interconnect for MaoFabric {
         port: PortId,
         c: Completion,
     ) -> Result<(), (Completion, Cycle)> {
-        let link = &mut self.ret_in[port.idx()];
+        let p = port.idx();
+        let link = &mut self.ret_in[p];
         if !link.can_send(now) {
             return Err((c, link.retry_at(now)));
         }
         let cost = c.txn.ret_link_cycles();
         link.send(now, 0, cost, Flit::Resp(c));
+        // While the marked prefix is shorter than the window, the port
+        // now holds an unmarked entry inside it.
+        if self.marked[p] < VOQ_WINDOW {
+            self.ret_waiting.insert(p);
+        }
         Ok(())
     }
 
@@ -198,25 +307,47 @@ impl Interconnect for MaoFabric {
 
     fn tick(&mut self, now: Cycle, _tracer: Option<&mut Tracer>) {
         let m_count = self.cfg.num_masters;
-        // Forward: each port grants one ingress head per cycle. Pass 1
-        // routes every ready head once; pass 2 grants round-robin from
-        // each port's pointer. A head routes to exactly one port, so no
-        // ingress can win twice in a cycle.
-        self.fwd_cand.clear_all();
-        for (m, link) in self.ingress.iter().enumerate() {
-            if let Some(Flit::Req(t)) = link.peek(now) {
-                self.fwd_cand.set((t.addr >> self.port_shift) as usize, m);
+        // Pass 1 on both paths: route each waiting master's arrived
+        // ingress head into its port's row, and mark each waiting port's
+        // newly arrived return entries.
+        for w in 0..self.fwd_waiting.words() {
+            for m in ones(self.fwd_waiting.word(w), 64 * w) {
+                if let Some(Flit::Req(t)) = self.ingress[m].peek(now) {
+                    let p = (t.addr >> self.port_shift) as usize;
+                    self.fwd_cand.set(p, m);
+                    self.fwd_rows.insert(p);
+                    self.fwd_waiting.remove(m);
+                }
             }
         }
-        for p in 0..self.cfg.num_ports {
-            if self.fwd_cand.row_is_empty(p) || !self.port_out[p].can_send(now) {
-                continue;
+        for w in 0..self.ret_waiting.words() {
+            for p in ones(self.ret_waiting.word(w), 64 * w) {
+                self.extend_marks(now, p);
             }
-            let m = self.fwd_cand.pick(p, self.rr_port[p]).expect("non-empty row");
-            let flit = self.ingress[m].pop(now).expect("routed head vanished");
-            let cost = flit.cost_beats();
-            self.port_out[p].send(now, m as u16, cost, flit);
-            self.rr_port[p] = (m + 1) % m_count;
+        }
+        debug_assert!(self.masks_match_scan(now), "cycle {now}: kept masks differ from a scan");
+        // Forward: each port holding candidates grants one ingress head
+        // per cycle, round-robin from its pointer, in port order. A head
+        // routes to exactly one port, so no ingress can win twice in a
+        // cycle, and a grant changes only its own row.
+        for w in 0..self.fwd_rows.words() {
+            for p in ones(self.fwd_rows.word(w), 64 * w) {
+                if !self.port_out[p].can_send(now) {
+                    continue;
+                }
+                let m = self.fwd_cand.pick(p, self.rr_port[p]).expect("non-empty row");
+                let flit = self.ingress[m].pop(now).expect("routed head vanished");
+                self.fwd_cand.clear(p, m);
+                if self.fwd_cand.row_is_empty(p) {
+                    self.fwd_rows.remove(p);
+                }
+                if !self.ingress[m].is_empty() {
+                    self.fwd_waiting.insert(m);
+                }
+                let cost = flit.cost_beats();
+                self.port_out[p].send(now, m as u16, cost, flit);
+                self.rr_port[p] = (m + 1) % m_count;
+            }
         }
         // Return: each master grants one completion per cycle. Unlike a
         // plain FIFO fabric, the MAO's buffered output stage lets a
@@ -232,24 +363,22 @@ impl Interconnect for MaoFabric {
         // each pull shifts that port's window. Masters are served in
         // index order, so after a pull the port's bits are recomputed
         // from the shifted window before the next master looks: every
-        // master sees exactly the window a sequential scan would.
-        self.ret_cand.clear_all();
-        for p in 0..self.cfg.num_ports {
-            self.mark_window(now, p, true);
-        }
-        for m in 0..m_count {
-            if self.ret_cand.row_is_empty(m) || !self.master_ret[m].can_send(now) {
+        // master sees exactly the window a sequential scan would. A
+        // shifted window can take in an entry for a later master whose
+        // row was empty, so the walk reads the live row set.
+        let mut from = 0;
+        while let Some(m) = self.ret_rows.first_from(from) {
+            from = m + 1;
+            if !self.master_ret[m].can_send(now) {
                 continue;
             }
             let p = self.ret_cand.pick(m, self.rr_master[m]).expect("non-empty row");
-            let idx = (0..VOQ_WINDOW)
-                .position(|i| {
-                    matches!(self.ret_in[p].peek_at(now, i), Some(Flit::Resp(c)) if c.txn.master.idx() == m)
-                })
+            let idx = (0..self.marked[p])
+                .position(|i| self.ret_master(now, p, i) == Some(m))
                 .expect("marked port holds a completion for this master");
-            self.mark_window(now, p, false);
+            self.clear_marks(now, p);
             let flit = self.ret_in[p].pop_at(now, idx).expect("peeked entry vanished");
-            self.mark_window(now, p, true);
+            self.extend_marks(now, p);
             let cost = flit.cost_beats();
             self.master_ret[m].send(now, p as u16, cost, flit);
             self.rr_master[m] = (p + 1) % self.cfg.num_ports;

@@ -4,9 +4,10 @@
 //! a warm `run` allocates at most a fixed number of times, whatever its
 //! length: the conductor's two per-run vectors, plus a few growths of a
 //! generator's per-ID outstanding queue reaching a new high-water mark.
-//! This is the exact form of the regression the CI queue-ops share
-//! ceiling guards against: allocation back in the hot path. One test in
-//! its own binary, counting on its own thread.
+//! It is the exact gate against allocation back in the hot path, which
+//! a timed queue-ops share could only see within host noise: a `Vec`
+//! allocated per port visit fails it. One test in its own binary,
+//! counting on its own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

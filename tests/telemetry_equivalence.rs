@@ -179,9 +179,12 @@ fn phase_sums_equal_measured_loop_time() {
     );
 }
 
-/// The MC-tick gate as a count (DESIGN.md §3.10): ports visited per
-/// domain step, 1.18 here; 2.39 without the controller's no-candidate
-/// sleep hint, and 4 visiting every port on every step.
+/// The MC-tick and queue-ops gates as counts (DESIGN.md §3.8, §3.10):
+/// ports visited per domain step, 1.18 here; 2.39 without the
+/// controller's no-candidate sleep hint, and 4 visiting every port on
+/// every step. Queue ops lap once per visited port and once per step
+/// (the master drains), so their laps per step are the port visits plus
+/// one and the same bound caps them.
 #[test]
 fn port_visits_per_domain_step_stay_bounded() {
     let rotated = Workload { rotation: 4, ..Workload::scs() };
@@ -189,6 +192,7 @@ fn port_visits_per_domain_step_stay_bounded() {
     let _ = measure::measure(&SystemConfig::xilinx(), rotated, 500, 2_000);
     let report = profile::end();
     let (visits, steps) = (report.phase_laps(Phase::McTick), report.phase_laps(Phase::GensTick));
+    assert_eq!(report.phase_laps(Phase::QueueOps), visits + steps, "queue-op laps");
     let per_step = visits as f64 / steps.max(1) as f64;
     assert!(per_step < 1.6, "{visits} port visits over {steps} domain steps ({per_step:.2})");
 }
